@@ -16,17 +16,12 @@ make the same argument *online*:
 * the identical burst is served with per-request tracing off and on at the
   default sampling rate — tracing must stay within 5% of the untraced
   throughput, so observability is safe to leave enabled in production;
-* the identical burst is served over a ``process:2`` pool with the default
-  pickle transport and with the ``--ipc shm`` zero-copy shared-memory arena —
-  the arena must stay bitwise identical to a direct ``run_batch`` and must
-  not cost throughput (it strictly removes per-dispatch serialization work;
-  on this compute-dominated simulation workload the win is modest, which is
-  exactly what the recorded delta documents);
 * the same keep-alive request wave is driven at 100 / 500 / 2000 concurrent
   connections against the legacy thread-per-connection front-end and the
   asyncio front-end — the async front-end must answer every client at every
   count with bitwise-identical outputs (the threaded one is measured for
-  the comparison, not held to the 2000-connection bar).
+  the comparison, not held to the 2000-connection bar).  The wave code is
+  shared with ``export_json.py`` (see ``keepalive_wave.py``).
 """
 
 from __future__ import annotations
@@ -38,6 +33,7 @@ import resource
 import time
 
 import numpy as np
+from keepalive_wave import drive_keepalive_wave
 
 from repro.config import small_test_chip
 from repro.core.inference import FunctionalInferenceEngine, generate_random_weights
@@ -262,67 +258,6 @@ def test_tracing_overhead_under_five_percent(results_dir):
     )
 
 
-def test_shm_ipc_serves_bitwise_without_costing_throughput(results_dir):
-    """Acceptance: zero-copy IPC is bitwise-identical and at least as fast.
-
-    The shm transport strictly removes work (tensor pickling) from the
-    ``process:N`` dispatch path, so after the replicas are warm it must serve
-    the identical burst no slower than the pickle transport — modulo
-    scheduler noise, hence the 15% tolerance — while the outputs stay bitwise
-    equal to a direct ``run_batch`` and every dispatch really takes the
-    arena (zero pickle fallbacks).
-    """
-    network, weights, config, images = _workload()
-    flood = np.concatenate([images] * 2)
-    direct = FunctionalInferenceEngine(network, weights, config).run_batch(flood)
-
-    def burst_rps(ipc):
-        server = InferenceServer(
-            network,
-            weights,
-            config,
-            executor="process:2",
-            ipc=ipc,
-            max_batch=8,
-            max_wait_s=0.002,
-            queue_capacity=len(flood),
-        )
-        with server:
-            server.serve_batch(flood)  # warm: fork replicas, program tiles
-            best = 0.0
-            for _ in range(3):
-                start = time.perf_counter()
-                outputs = server.serve_batch(flood)
-                best = max(best, len(flood) / (time.perf_counter() - start))
-            ipc_stats = server.stats()["pool"]["ipc"]
-        assert np.array_equal(outputs, direct)  # transport never moves a bit
-        return best, ipc_stats
-
-    pickle_rps, pickle_stats = burst_rps("pickle")
-    shm_rps, shm_stats = burst_rps("shm")
-
-    assert not pickle_stats["zero_copy_active"]
-    assert shm_stats["zero_copy_active"]
-    assert shm_stats["copy_bytes_avoided"] > 0
-    assert shm_stats["pickle_fallbacks"] == 0
-    assert shm_stats["slots_in_use"] == 0
-    assert shm_rps >= 0.85 * pickle_rps, (
-        f"zero-copy transport lost throughput: {pickle_rps:.1f} rps pickle "
-        f"-> {shm_rps:.1f} rps shm"
-    )
-
-    with open(results_dir / "serving_ipc.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["ipc", "throughput_rps", "copy_bytes_avoided"])
-        writer.writerow(["pickle", f"{pickle_rps:.1f}", 0])
-        writer.writerow(["shm", f"{shm_rps:.1f}", shm_stats["copy_bytes_avoided"]])
-    print(
-        f"process:2 transport: pickle {pickle_rps:.1f} rps -> shm {shm_rps:.1f} "
-        f"rps ({shm_rps / pickle_rps:.2f}x, "
-        f"{shm_stats['copy_bytes_avoided'] / 1024:.0f} KiB kept off the pipe)"
-    )
-
-
 #: Concurrent keep-alive client counts for the front-end scaling comparison.
 _CONN_COUNTS = (100, 500, 2000)
 #: fds per in-process client connection: the client socket + the accepted one.
@@ -339,95 +274,6 @@ def _usable_connections(requested: int) -> int:
         except (ValueError, OSError):
             pass
     return min(requested, max(1, (soft - 256) // _FDS_PER_CONN))
-
-
-async def _drive_keepalive_wave(url: str, request_bodies, expected_b64, count: int):
-    """``count`` concurrent keep-alive clients, one infer + one healthz each.
-
-    Every client dials, parks until *all* clients are connected (so the
-    measured window really holds ``count`` simultaneous keep-alive
-    connections), then sends one ``POST /v1/infer`` followed by one
-    ``GET /healthz`` on the same connection.  Returns
-    ``(connect_s, serve_s, mismatches)``.
-    """
-    host, port = url.split("//", 1)[1].rsplit(":", 1)
-    dial_gate = asyncio.Semaphore(64)  # spare the listen backlog, keep conns open
-    connected = 0
-    all_connected = asyncio.Event()
-    go = asyncio.Event()
-    dial_failure = None
-    mismatches = 0
-
-    async def read_response(reader):
-        status = (await reader.readline()).split(b" ")[1]
-        length = 0
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            if name.lower() == "content-length":
-                length = int(value.strip())
-        return status, await reader.readexactly(length)
-
-    async def client(index: int) -> None:
-        nonlocal connected, dial_failure, mismatches
-        async with dial_gate:
-            for attempt in range(20):  # the accept backlog is finite: retry dials
-                try:
-                    reader, writer = await asyncio.open_connection(host, int(port))
-                    break
-                except OSError:
-                    await asyncio.sleep(0.05 * (attempt + 1))
-            else:
-                # Fail the whole wave immediately instead of letting the
-                # all-connected barrier time out.
-                dial_failure = OSError(f"client {index}: could not connect to {url}")
-                all_connected.set()
-                raise dial_failure
-        connected += 1
-        if connected == count:
-            all_connected.set()
-        await go.wait()
-        try:
-            body = request_bodies[index % len(request_bodies)]
-            writer.write(
-                b"POST /v1/infer HTTP/1.1\r\nHost: bench\r\n"
-                b"Content-Type: application/json\r\n"
-                b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
-            )
-            await writer.drain()
-            status, payload = await read_response(reader)
-            answer = json.loads(payload)
-            if status != b"200" or (
-                answer.get("output_npy_b64") != expected_b64[index % len(expected_b64)]
-            ):
-                mismatches += 1
-            # Second request on the same socket: keep-alive actually reused.
-            writer.write(b"GET /healthz HTTP/1.1\r\nHost: bench\r\n\r\n")
-            await writer.drain()
-            status, _ = await read_response(reader)
-            if status != b"200":
-                mismatches += 1
-        finally:
-            writer.close()
-
-    tasks = [asyncio.create_task(client(i)) for i in range(count)]
-    dial_start = time.perf_counter()
-    try:
-        await asyncio.wait_for(all_connected.wait(), timeout=120.0)
-        if dial_failure is not None:
-            raise dial_failure
-        connect_s = time.perf_counter() - dial_start
-        serve_start = time.perf_counter()
-        go.set()
-        await asyncio.wait_for(asyncio.gather(*tasks), timeout=300.0)
-    except BaseException:
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
-        raise
-    return connect_s, time.perf_counter() - serve_start, mismatches
 
 
 def test_async_frontend_scales_keepalive_connections(results_dir):
@@ -466,66 +312,52 @@ def test_async_frontend_scales_keepalive_connections(results_dir):
                 failed_at = None
                 for requested in _CONN_COUNTS:
                     count = _usable_connections(requested)
+                    row = dict(frontend=label, requested=requested, connections=count)
                     if failed_at is not None:
                         rows.append(
                             dict(
-                                frontend=label,
-                                requested=requested,
-                                connections=count,
-                                ok=False,
-                                connect_s=float("nan"),
-                                serve_s=float("nan"),
-                                rps=0.0,
+                                row,
+                                all_ok_bitwise=False,
                                 error=f"skipped: failed at {failed_at} connections",
                             )
                         )
                         continue
                     try:
-                        connect_s, serve_s, mismatches = asyncio.run(
-                            _drive_keepalive_wave(
+                        wave = asyncio.run(
+                            drive_keepalive_wave(
                                 front.url, request_bodies, expected_b64, count
                             )
                         )
-                        rows.append(
-                            dict(
-                                frontend=label,
-                                requested=requested,
-                                connections=count,
-                                ok=mismatches == 0,
-                                connect_s=connect_s,
-                                serve_s=serve_s,
-                                rps=count / serve_s,
-                            )
-                        )
+                        rows.append(dict(row, **wave))
                     except (OSError, asyncio.TimeoutError) as error:
                         failed_at = count
                         rows.append(
                             dict(
-                                frontend=label,
-                                requested=requested,
-                                connections=count,
-                                ok=False,
-                                connect_s=float("nan"),
-                                serve_s=float("nan"),
-                                rps=0.0,
+                                row,
+                                all_ok_bitwise=False,
                                 error=f"{type(error).__name__}: {error}",
                             )
                         )
 
+    columns = (
+        "frontend",
+        "connections",
+        "all_ok_bitwise",
+        "non_200",
+        "wrong_bytes",
+        "healthz_failed",
+        "connect_s",
+        "serve_s",
+        "throughput_rps",
+    )
     with open(results_dir / "serving_conn_scaling.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(
-            ["frontend", "connections", "all_ok_bitwise", "connect_s", "serve_s", "rps"]
-        )
+        writer.writerow(columns)
         for row in rows:
             writer.writerow(
                 [
-                    row["frontend"],
-                    row["connections"],
-                    row["ok"],
-                    f"{row['connect_s']:.2f}",
-                    f"{row['serve_s']:.2f}",
-                    f"{row['rps']:.1f}",
+                    f"{row[key]:.2f}" if isinstance(row.get(key), float) else row.get(key, "")
+                    for key in columns
                 ]
             )
 
@@ -535,17 +367,22 @@ def test_async_frontend_scales_keepalive_connections(results_dir):
     # >=500 acceptance bar, with zero non-200s and zero bitwise mismatches.
     for requested in _CONN_COUNTS:
         row = by_key[("async", requested)]
-        assert row["ok"], f"async front-end failed at {row['connections']} conns: {row}"
+        assert row["all_ok_bitwise"], (
+            f"async front-end failed at {row['connections']} conns: {row}"
+        )
     # The threaded front-end is only held to the baseline count.
-    assert by_key[("threaded", _CONN_COUNTS[0])]["ok"]
+    baseline = by_key[("threaded", _CONN_COUNTS[0])]
+    assert baseline["all_ok_bitwise"], baseline
     for row in rows:
         print(
             f"conn scaling [{row['frontend']:>8}] {row['connections']:>5} clients: "
             + (
-                f"connect {row['connect_s']:.2f}s, serve {row['serve_s']:.2f}s "
-                f"({row['rps']:.0f} req/s, bitwise {'ok' if row['ok'] else 'FAIL'})"
-                if row["rps"]
-                else f"failed ({row.get('error', 'mismatches')})"
+                f"failed ({row['error']})"
+                if "error" in row
+                else f"connect {row['connect_s']:.2f}s, serve {row['serve_s']:.2f}s "
+                f"({row['throughput_rps']:.0f} req/s, non-200 {row['non_200']}, "
+                f"wrong bytes {row['wrong_bytes']}, healthz failed "
+                f"{row['healthz_failed']})"
             )
         )
 

@@ -29,6 +29,7 @@ import time
 from datetime import datetime, timezone
 
 import numpy as np
+from keepalive_wave import drive_keepalive_wave
 
 from repro.config import small_test_chip
 from repro.core.inference import FunctionalInferenceEngine, generate_random_weights
@@ -36,7 +37,6 @@ from repro.nn import build_lenet5
 from repro.serve import (
     AsyncServeHTTPServer,
     InferenceServer,
-    LoadGenerator,
     ModelDefinition,
     ModelRegistry,
     ServeHTTPServer,
@@ -169,132 +169,9 @@ def _traced_burst(network, weights, config, images) -> dict:
     }
 
 
-def _ipc_burst(network, weights, config, images) -> dict:
-    """Pickle-vs-shm transport on a ``process:2`` pool (bench_serving smoke).
-
-    The zero-copy trajectory: the identical closed-loop run is served over
-    both tensor transports, and the artifact records throughput, tail
-    latency, the bytes the arena kept off the pickle pipe, and the resulting
-    speedup/p99 delta — so a regression that silently re-introduces
-    serialization on the process dispatch path shows up in the artifact diff.
-    The warm-up burst (replica fork + PCM tile programming) runs before the
-    measurement so both modes are compared on steady-state dispatches only.
-    """
-    direct = FunctionalInferenceEngine(network, weights, config).run_batch(images)
-    modes: dict = {}
-    for mode in ("pickle", "shm"):
-        server = InferenceServer(
-            network,
-            weights,
-            config,
-            executor="process:2",
-            ipc=mode,
-            max_batch=8,
-            max_wait_s=0.002,
-            queue_capacity=max(len(images), 8),
-        )
-        with server:
-            server.serve_batch(images)  # warm: fork replicas, program tiles
-            report = LoadGenerator(server).run_closed_loop(images, concurrency=4)
-            ipc_stats = server.stats()["pool"]["ipc"]
-        modes[mode] = {
-            "throughput_rps": report.achieved_rps,
-            "latency_p50_ms": report.client_latency["latency_p50_s"] * 1e3,
-            "latency_p99_ms": report.client_latency["latency_p99_s"] * 1e3,
-            "copy_bytes_avoided": int(ipc_stats.get("copy_bytes_avoided", 0)),
-            "pickle_fallbacks": int(ipc_stats.get("pickle_fallbacks", 0)),
-            "bitwise_match_vs_run_batch": bool(np.array_equal(report.outputs, direct)),
-        }
-    modes["throughput_speedup_shm"] = (
-        modes["shm"]["throughput_rps"] / modes["pickle"]["throughput_rps"]
-    )
-    modes["p99_delta_ms"] = (
-        modes["pickle"]["latency_p99_ms"] - modes["shm"]["latency_p99_ms"]
-    )
-    return modes
-
-
 #: Concurrent keep-alive clients per front-end for the CI-sized scaling sweep
 #: (the full 100/500/2000 comparison lives in ``bench_serving.py``).
 _CONN_COUNTS = (50, 200, 500)
-
-
-async def _keepalive_wave(url: str, bodies, expected_b64, count: int) -> dict:
-    """``count`` concurrent keep-alive clients: one infer + one healthz each."""
-    host, port = url.split("//", 1)[1].rsplit(":", 1)
-    dial_gate = asyncio.Semaphore(64)  # spare the listen backlog
-    connected = 0
-    all_connected = asyncio.Event()
-    go = asyncio.Event()
-    mismatches = 0
-
-    async def read_response(reader):
-        status = (await reader.readline()).split(b" ")[1]
-        length = 0
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            if name.lower() == "content-length":
-                length = int(value.strip())
-        return status, await reader.readexactly(length)
-
-    async def client(index: int) -> None:
-        nonlocal connected, mismatches
-        async with dial_gate:
-            for attempt in range(20):
-                try:
-                    reader, writer = await asyncio.open_connection(host, int(port))
-                    break
-                except OSError:
-                    await asyncio.sleep(0.05 * (attempt + 1))
-            else:
-                raise OSError(f"client {index}: could not connect to {url}")
-        connected += 1
-        if connected == count:
-            all_connected.set()
-        await go.wait()
-        try:
-            body = bodies[index % len(bodies)]
-            writer.write(
-                b"POST /v1/infer HTTP/1.1\r\nHost: bench\r\n"
-                b"Content-Type: application/json\r\n"
-                b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
-            )
-            await writer.drain()
-            status, payload = await read_response(reader)
-            if status != b"200" or (
-                json.loads(payload).get("output_npy_b64")
-                != expected_b64[index % len(expected_b64)]
-            ):
-                mismatches += 1
-            writer.write(b"GET /healthz HTTP/1.1\r\nHost: bench\r\n\r\n")
-            await writer.drain()
-            status, _ = await read_response(reader)
-            if status != b"200":
-                mismatches += 1
-        finally:
-            writer.close()
-
-    tasks = [asyncio.create_task(client(i)) for i in range(count)]
-    try:
-        await asyncio.wait_for(all_connected.wait(), timeout=60.0)
-        start = time.perf_counter()
-        go.set()
-        await asyncio.wait_for(asyncio.gather(*tasks), timeout=120.0)
-        elapsed = time.perf_counter() - start
-    except BaseException:
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
-        raise
-    return {
-        "connections": count,
-        "all_ok_bitwise": mismatches == 0,
-        "serve_s": elapsed,
-        "throughput_rps": count / elapsed,
-    }
 
 
 def _conn_scaling(network, weights, config, images) -> dict:
@@ -303,7 +180,9 @@ def _conn_scaling(network, weights, config, images) -> dict:
     The connection-scaling trajectory: every client holds one keep-alive
     connection, sends one single-image infer (checked bitwise against a
     direct ``run_batch`` through the base64 ``.npy`` encoding) plus one
-    healthz on the same socket.  A front-end that stops answering at a count
+    healthz on the same socket.  Each point counts its failures by kind
+    (``non_200``, ``wrong_bytes``, ``healthz_failed``; see
+    ``keepalive_wave.py``).  A front-end that stops answering at a count
     records an ``error`` entry instead of silently shrinking the sweep.
     """
     direct = FunctionalInferenceEngine(network, weights, config).run_batch(images)
@@ -330,7 +209,9 @@ def _conn_scaling(network, weights, config, images) -> dict:
                 for count in _CONN_COUNTS:
                     try:
                         points.append(
-                            asyncio.run(_keepalive_wave(front.url, bodies, expected, count))
+                            asyncio.run(
+                                drive_keepalive_wave(front.url, bodies, expected, count)
+                            )
                         )
                     except (OSError, asyncio.TimeoutError) as error:
                         points.append(
@@ -391,7 +272,6 @@ def export(num_images: int) -> dict:
         "robustness": _faulted_burst(network, weights, config, images),
         "observability": _traced_burst(network, weights, config, images),
         "sharding": _sharding_timings(network, weights, config, images),
-        "ipc": _ipc_burst(network, weights, config, images),
         "async_conn_scaling": _conn_scaling(network, weights, config, images),
     }
 
@@ -418,16 +298,13 @@ def main(argv=None) -> int:
         handle.write("\n")
     serving = payload["serving"]
     robustness = payload["robustness"]
-    ipc = payload["ipc"]
     print(
         f"wrote {args.output}: dynamic batching "
         f"{serving['dynamic_batching']['throughput_rps']:.1f} rps "
         f"({serving['batching_speedup']:.2f}x vs batch-1), "
         f"thread sharding {payload['sharding']['speedup_thread_vs_serial']:.2f}x, "
         f"chaos burst recovered {robustness['batches_recovered']} batches "
-        f"over {robustness['replica_restarts']} restarts, "
-        f"shm ipc {ipc['throughput_speedup_shm']:.2f}x vs pickle "
-        f"(p99 {ipc['p99_delta_ms']:+.2f} ms)"
+        f"over {robustness['replica_restarts']} restarts"
     )
     return 0
 

@@ -91,7 +91,6 @@ from repro.nn import (
 )
 from repro.serve import (
     ARRIVAL_PROCESSES,
-    IPC_MODES,
     POLICY_KINDS,
     AsyncServeHTTPServer,
     AutoscalerPolicy,
@@ -331,16 +330,6 @@ def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
         help=(
             "engine-replica pool: 'serial', 'thread[:N]' or 'process:N' "
             "(process replicas scale past the GIL)"
-        ),
-    )
-    parser.add_argument(
-        "--ipc",
-        choices=IPC_MODES,
-        default="pickle",
-        help=(
-            "tensor transport for process executors: 'pickle' serializes "
-            "batches across the worker pipe, 'shm' moves them zero-copy "
-            "through a shared-memory slot arena (bitwise-identical outputs)"
         ),
     )
     parser.add_argument(
@@ -1007,7 +996,6 @@ def _make_server(args: argparse.Namespace, built_entries) -> InferenceServer:
             max_attempts=getattr(args, "max_retries", 2) + 1,
             breaker=breaker,
             faults=getattr(args, "inject_faults", None),
-            ipc=getattr(args, "ipc", "pickle"),
         )
     trace_sample = getattr(args, "trace_sample", 1.0)
     return InferenceServer(

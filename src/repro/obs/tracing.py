@@ -468,16 +468,20 @@ class DispatchTraceRecorder:
     with a happens-before edge at each step, and no two threads touch it
     concurrently.
 
-    ``events`` are batch-level (retry/restart) intervals that apply to every
-    traced request; ``replica_records`` are fully-addressed child spans the
-    replica produced (see :func:`replica_span_records`), already rebased onto
-    the parent's clock.
+    ``handoff_s`` is the monotonic instant the pool first checked a replica
+    out of its free list for this batch (``None`` until then): the boundary
+    between the ``dispatch`` and ``replica_execute`` stages.  ``events`` are
+    batch-level (retry/restart) intervals that apply to every traced request;
+    ``replica_records`` are fully-addressed child spans the replica produced
+    (see :func:`replica_span_records`), already rebased onto the parent's
+    clock.
     """
 
-    __slots__ = ("contexts", "events", "replica_records")
+    __slots__ = ("contexts", "handoff_s", "events", "replica_records")
 
     def __init__(self, contexts: Sequence[Tuple[str, str]]) -> None:
         self.contexts: List[Tuple[str, str]] = list(contexts)
+        self.handoff_s: Optional[float] = None
         self.events: List[Dict[str, object]] = []
         self.replica_records: List[Dict[str, object]] = []
 

@@ -89,14 +89,6 @@ from repro.serve.telemetry import (
     ServeTelemetry,
     latency_summary,
 )
-from repro.serve.shm import (
-    DEFAULT_SLOT_BATCH,
-    IPC_MODES,
-    ArenaLayout,
-    ShmSlotArena,
-    SlotDescriptor,
-    parse_ipc_mode,
-)
 from repro.serve.workers import (
     DEFAULT_REPLICAS,
     EngineReplicaSpec,
@@ -117,12 +109,9 @@ __all__ = [
     "Autoscaler",
     "AutoscalerPolicy",
     "AutoscalerState",
-    "ArenaLayout",
     "CircuitBreaker",
     "CircuitBreakerPolicy",
     "DEFAULT_REPLICAS",
-    "DEFAULT_SLOT_BATCH",
-    "IPC_MODES",
     "EngineReplicaSpec",
     "EngineWorkerPool",
     "ExecutorSpec",
@@ -145,8 +134,6 @@ __all__ = [
     "ServeHTTPServer",
     "ServeRequest",
     "ServeTelemetry",
-    "ShmSlotArena",
-    "SlotDescriptor",
     "bursty_arrivals",
     "decode_array_b64",
     "encode_array_b64",
@@ -156,7 +143,6 @@ __all__ = [
     "mixed_model_schedule",
     "parse_executor_spec",
     "parse_fault_spec",
-    "parse_ipc_mode",
     "poisson_arrivals",
     "spec_serialization_count",
     "subtract_functional_statistics",

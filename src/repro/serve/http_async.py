@@ -26,8 +26,8 @@ The engine side is unchanged: requests funnel through the *same*
 front-end, bridged with ``loop.run_in_executor`` (admission may block) and
 ``asyncio.wrap_future`` (results are plain ``concurrent.futures`` futures
 resolved by engine threads).  That is why outputs stay bitwise identical to
-a direct ``run_batch`` for every executor spec and IPC transport — the
-async layer only encodes and decodes bytes.
+a direct ``run_batch`` for every executor spec — the async layer only
+encodes and decodes bytes.
 """
 
 from __future__ import annotations

@@ -133,11 +133,6 @@ class _ModelRuntime:
             backoff_base_s=self.definition.backoff_base_s,
             backoff_max_s=self.definition.backoff_max_s,
             fault_injector=self.definition.build_fault_injector(),
-            ipc=self.definition.ipc,
-            # Size arena slots to the batcher's ceiling: every micro-batch
-            # this model can ever form fits one slot, so the shm path never
-            # needs its pickle fallback.
-            slot_batch=self.definition.max_batch,
         )
         self._inflight = threading.BoundedSemaphore(2 * self.max_replicas)
         self._dispatcher = threading.Thread(
@@ -228,10 +223,11 @@ class _ModelRuntime:
             dispatch_ts = time.monotonic()
             # Record the queued stages for every traced request in the batch
             # and reserve each one's replica_execute span id; the id travels
-            # to the replica as the parent for its own child spans and is
-            # closed in _complete_batch.  The flush timestamp stamped by the
-            # batcher splits queue_wait (waiting in line) from batch_assemble
-            # (popped but not yet dispatched).
+            # to the replica as the parent for its own child spans.  The
+            # dispatch and replica_execute spans are recorded in
+            # _complete_batch, split at the pool's handoff.  The flush
+            # timestamp stamped by the batcher splits queue_wait (waiting in
+            # line) from batch_assemble (popped but not yet dispatched).
             traced = [request for request in batch if request.trace is not None]
             recorder: Optional[DispatchTraceRecorder] = None
             if traced:
@@ -256,26 +252,19 @@ class _ModelRuntime:
                 future = self.pool.submit(images, trace=recorder)
             except BaseException as error:
                 self._inflight.release()
-                self._complete_batch(batch, error, dispatch_ts, dispatch_ts, recorder)
+                self._complete_batch(batch, error, dispatch_ts, recorder)
                 continue
-            submitted_ts = time.monotonic()
-            for request in traced:
-                request.trace.add_span(
-                    "dispatch", dispatch_ts, submitted_ts, ipc=self.pool.ipc
-                )
             future.add_done_callback(
                 lambda done,
                 batch=batch,
                 ts=dispatch_ts,
-                sub=submitted_ts,
-                rec=recorder: self._on_batch_done(batch, ts, sub, rec, done)
+                rec=recorder: self._on_batch_done(batch, ts, rec, done)
             )
 
     def _on_batch_done(
         self,
         batch: List[ServeRequest],
         dispatch_ts: float,
-        submitted_ts: float,
         recorder: Optional[DispatchTraceRecorder],
         future: Future,
     ) -> None:
@@ -283,14 +272,13 @@ class _ModelRuntime:
         self._inflight.release()
         error = future.exception()
         outcome = error if error is not None else future.result()
-        self._complete_batch(batch, outcome, dispatch_ts, submitted_ts, recorder)
+        self._complete_batch(batch, outcome, dispatch_ts, recorder)
 
     def _complete_batch(
         self,
         batch: List[ServeRequest],
         outcome: object,
         dispatch_ts: float,
-        submitted_ts: Optional[float] = None,
         recorder: Optional[DispatchTraceRecorder] = None,
     ) -> None:
         now = time.monotonic()
@@ -306,7 +294,7 @@ class _ModelRuntime:
             # wall-clock service-time scale from real dispatches.
             self.batcher.observe_batch(len(batch), now - dispatch_ts)
         if recorder is not None:
-            self._record_execution_spans(batch, outcome, submitted_ts or dispatch_ts, now, recorder)
+            self._record_execution_spans(batch, outcome, dispatch_ts, now, recorder)
         slow_entries: List[Dict[str, object]] = []
         with self._delivery_lock:
             if isinstance(outcome, BaseException):
@@ -327,12 +315,21 @@ class _ModelRuntime:
         self,
         batch: List[ServeRequest],
         outcome: object,
-        start_ts: float,
+        dispatch_ts: float,
         end_ts: float,
         recorder: DispatchTraceRecorder,
     ) -> None:
-        """Close every traced request's ``replica_execute`` span and splice in
-        the pool's retry/restart events plus replica-side child spans."""
+        """Record every traced request's ``dispatch`` and ``replica_execute``
+        spans and splice in the pool's retry/restart events plus replica-side
+        child spans.
+
+        The two stages meet at the pool's handoff (the instant a replica was
+        first checked out for the batch), so replica compute lands in
+        ``replica_execute`` for every executor — including ``serial``, whose
+        ``submit`` computes inline.  A submit that raised before any handoff
+        leaves ``dispatch`` empty.
+        """
+        handoff_ts = recorder.handoff_s if recorder.handoff_s is not None else dispatch_ts
         records_by_trace: Dict[str, List[Dict[str, object]]] = {}
         for record in recorder.replica_records:
             records_by_trace.setdefault(str(record["trace_id"]), []).append(record)
@@ -343,7 +340,8 @@ class _ModelRuntime:
             meta: Dict[str, object] = {"batch": len(batch)}
             if failed:
                 meta["error"] = type(outcome).__name__
-            trace.add_span("replica_execute", start_ts, end_ts, span_id=span_id, **meta)
+            trace.add_span("dispatch", dispatch_ts, handoff_ts)
+            trace.add_span("replica_execute", handoff_ts, end_ts, span_id=span_id, **meta)
             for event in recorder.events:
                 trace.add_span(
                     str(event["name"]),
@@ -448,10 +446,6 @@ class InferenceServer:
     warmup:
         Run one zero image through every replica at :meth:`start` so the
         one-time PCM tile programming does not land on the first request.
-    ipc:
-        Tensor transport for ``process`` executors: ``"pickle"`` (default)
-        or ``"shm"`` — the zero-copy shared-memory arena of
-        :mod:`repro.serve.shm`.  Outputs are bitwise identical either way.
     registry:
         A pre-built :class:`ModelRegistry` hosting one model per definition.
     autoscaler:
@@ -494,7 +488,6 @@ class InferenceServer:
         policy: Union[str, FlushPolicy] = "fixed",
         slo_s: float = 0.05,
         warmup: bool = True,
-        ipc: str = "pickle",
         registry: Optional[ModelRegistry] = None,
         autoscaler: Optional[AutoscalerPolicy] = None,
         on_response: Optional[Callable[[int, np.ndarray], None]] = None,
@@ -525,7 +518,6 @@ class InferenceServer:
                         policy=policy,
                         slo_s=slo_s,
                         warmup=warmup,
-                        ipc=ipc,
                     )
                 ]
             )

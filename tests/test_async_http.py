@@ -2,8 +2,8 @@
 
 Covered: NDJSON streaming responses (in-order delivery, byte-for-byte
 equality with the non-streamed body item-wise, bitwise equality vs a direct
-``run_batch`` across executors and both IPC transports), SSE progress
-events, raw-socket keep-alive + pipelining, client connection-pool reuse,
+``run_batch`` across executors), SSE progress events, raw-socket
+keep-alive + pipelining, client connection-pool reuse,
 queue-overflow backpressure as ``429 + Retry-After``, the wire-side
 telemetry counters, and the chaos subset replayed against the asyncio
 front-end (replica SIGKILL mid-batch with zero lost requests, breaker shed
@@ -134,20 +134,12 @@ class TestStreaming:
         items = [json.loads(line) for line in streamed.splitlines() if line][:-1]
         assert [item["output"] for item in items] == outputs
 
-    @pytest.mark.parametrize(
-        "executor, ipc",
-        [("serial", None), ("thread:2", None), ("process:2", "pickle"), ("process:2", "shm")],
-    )
-    def test_streamed_bitwise_vs_run_batch_all_executors(
-        self, lenet_workload, executor, ipc
-    ):
+    @pytest.mark.parametrize("executor", ["serial", "thread:2", "process:2"])
+    def test_streamed_bitwise_vs_run_batch_all_executors(self, lenet_workload, executor):
         """Acceptance: bitwise-identical outputs through the async front-end
-        for every executor spec and both IPC transports."""
+        for every executor spec."""
         _, _, _, images, direct = lenet_workload
-        overrides = dict(executor=executor)
-        if ipc is not None:
-            overrides["ipc"] = ipc
-        with _server(lenet_workload, **overrides) as server:
+        with _server(lenet_workload, executor=executor) as server:
             with AsyncServeHTTPServer(server) as front:
                 with HTTPInferenceClient(front.url, encoding="npy_b64") as client:
                     plain = client.infer_batch(images)
@@ -372,13 +364,12 @@ class TestBackpressure:
 
 
 class TestAsyncChaos:
-    @pytest.mark.parametrize("ipc", ["pickle", "shm"])
     def test_replica_sigkill_mid_run_zero_lost_bitwise_over_async_http(
-        self, lenet_workload, ipc
+        self, lenet_workload
     ):
         """Chaos acceptance: process replicas crash every few batches while a
         closed-loop client drives the async front-end — nothing is lost and
-        every output stays bitwise identical, over both IPC transports."""
+        every output stays bitwise identical."""
         _, _, _, images, direct = lenet_workload
         server = _faulty_server(
             lenet_workload,
@@ -388,7 +379,6 @@ class TestAsyncChaos:
             dispatch_timeout_s=120.0,
             max_attempts=3,
             backoff_base_s=0.01,
-            ipc=ipc,
         )
         flood = np.concatenate([images, images])
         with server:

@@ -5,10 +5,11 @@ Covered: the ``--inject-fault`` spec grammar and the deterministic
 worker-pool supervision under injected crash / hang / slow / corrupt faults
 (retry-with-restart, exponential backoff via an injectable sleeper, bitwise
 re-execution, attempt exhaustion); *real* process-replica deaths (a SIGKILLed
-child must surface as a recoverable batch failure, never a hang); server-level
+child must surface as a recoverable batch failure, never a hang; restarts
+reuse the pool's one cached spec serialization); server-level
 degradation (breaker open → ``CircuitOpenError`` shed, health levels, fault
 telemetry); client retries honoring ``Retry-After``; and graceful SIGTERM
-shutdown of the ``serve --http`` CLI.
+shutdown of the ``serve --http`` CLI, with in-process and process replicas.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from repro.serve import (
     ModelRegistry,
     ServeHTTPServer,
     parse_fault_spec,
+    spec_serialization_count,
 )
 from repro.serve.faults import (
     BREAKER_CLOSED,
@@ -488,13 +490,10 @@ class TestProcessReplicaFaults:
         assert faults["replica_restarts"] == 1
         assert elapsed >= 1.5  # the timeout, not the 60 s hang, bounded it
 
-    @pytest.mark.parametrize("ipc", ["pickle", "shm"])
-    def test_periodic_kills_full_run_zero_lost_bitwise(self, lenet_workload, ipc):
-        """The PR's acceptance run: crash a process replica every K batches,
-        drive a full closed-loop load run, lose nothing, stay bitwise — over
-        both tensor transports (in shm mode a kill lands while the batch's
-        inputs live in the shared arena, so the retry must re-dispatch the
-        still-live slot bytes)."""
+    def test_periodic_kills_full_run_zero_lost_bitwise(self, lenet_workload):
+        """The acceptance run: crash a process replica every K batches, drive
+        a full closed-loop load run, lose nothing, stay bitwise — each killed
+        batch is re-dispatched from the parent's copy of its inputs."""
         _, _, _, images, direct = lenet_workload
         server = _faulty_server(
             lenet_workload,
@@ -504,7 +503,6 @@ class TestProcessReplicaFaults:
             dispatch_timeout_s=120.0,
             max_attempts=3,
             backoff_base_s=0.01,
-            ipc=ipc,
         )
         flood = np.concatenate([images, images])
         with server:
@@ -517,12 +515,28 @@ class TestProcessReplicaFaults:
         assert faults["replica_restarts"] >= 1
         assert faults["batches_failed"] == 0
         assert stats["telemetry"]["requests_failed"] == 0
-        ipc_stats = stats["pool"]["ipc"]
-        assert ipc_stats["mode"] == ipc
-        if ipc == "shm":
-            assert ipc_stats["zero_copy_active"]
-            assert ipc_stats["copy_bytes_avoided"] > 0
-            assert ipc_stats["slots_in_use"] == 0
+
+
+class TestSpecSerializationCache:
+    def test_spec_pickled_once_across_replica_restarts(self, lenet_workload):
+        """Restarts reuse the cached payload: one serialization per pool, ever.
+
+        Two injected crashes force two supervision restarts; before the fix
+        every restart re-pickled the weight-laden spec through the fresh
+        ``ProcessPoolExecutor`` initializer.
+        """
+        _, _, _, images, direct = lenet_workload
+        before = spec_serialization_count()
+        with _pool(
+            lenet_workload, "process:1",
+            fault_injector=FaultInjector(["crash:at=1", "crash:at=3"]),
+            dispatch_timeout_s=120.0, max_attempts=3, backoff_base_s=0.0,
+        ) as pool:
+            for _ in range(3):
+                assert np.array_equal(pool.run_batch(images), direct)
+            restarts = pool.fault_statistics()["replica_restarts"]
+        assert restarts == 2
+        assert spec_serialization_count() - before == 1
 
 
 # ---------------------------------------------------------------------------
@@ -816,41 +830,56 @@ class TestHTTPDegradedSurface:
 # ---------------------------------------------------------------------------
 
 
+def _serve_http_until_signal(tmp_path, signum, *extra_args) -> tuple:
+    """Launch ``serve --http 0``, deliver ``signum`` once it is ready and
+    return ``(returncode, stdout)``."""
+    ready_file = tmp_path / "serve-url.txt"
+    repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(repo_root, "src"), env.get("PYTHONPATH")) if p
+    )
+    process = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve",
+            "--network", "lenet5", "--rows", "32", "--columns", "32",
+            "--http", "0", "--ready-file", str(ready_file), *extra_args,
+        ],
+        cwd=repo_root, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    )
+    try:
+        deadline = time.monotonic() + 120.0
+        while time.monotonic() < deadline:
+            if ready_file.exists() and ready_file.read_text().strip():
+                break
+            if process.poll() is not None:
+                break
+            time.sleep(0.1)
+        assert process.poll() is None, (
+            f"serve exited early:\n{process.stdout.read()}"
+        )
+        process.send_signal(signum)
+        stdout, _ = process.communicate(timeout=120.0)
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.communicate(timeout=30.0)
+    return process.returncode, stdout
+
+
 class TestGracefulShutdown:
     @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
     def test_serve_http_drains_and_exits_zero(self, tmp_path, signum):
-        ready_file = tmp_path / "serve-url.txt"
-        repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (os.path.join(repo_root, "src"), env.get("PYTHONPATH")) if p
-        )
-        process = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "serve",
-                "--network", "lenet5", "--rows", "32", "--columns", "32",
-                "--http", "0", "--ready-file", str(ready_file),
-            ],
-            cwd=repo_root, env=env,
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-        )
-        try:
-            deadline = time.monotonic() + 120.0
-            while time.monotonic() < deadline:
-                if ready_file.exists() and ready_file.read_text().strip():
-                    break
-                if process.poll() is not None:
-                    break
-                time.sleep(0.1)
-            assert process.poll() is None, (
-                f"serve exited early:\n{process.stdout.read()}"
-            )
-            process.send_signal(signum)
-            stdout, _ = process.communicate(timeout=120.0)
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.communicate(timeout=30.0)
-        assert process.returncode == 0, f"non-zero exit:\n{stdout}"
+        returncode, stdout = _serve_http_until_signal(tmp_path, signum)
+        assert returncode == 0, f"non-zero exit:\n{stdout}"
         assert signal.Signals(signum).name in stdout
+        assert "draining and shutting down" in stdout
+
+    def test_serve_http_process_replicas_drain_on_sigterm(self, tmp_path):
+        """The drain also shuts down ``process:N`` replicas and still exits 0."""
+        returncode, stdout = _serve_http_until_signal(
+            tmp_path, signal.SIGTERM, "--executor", "process:2"
+        )
+        assert returncode == 0, f"non-zero exit:\n{stdout}"
         assert "draining and shutting down" in stdout

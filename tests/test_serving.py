@@ -5,13 +5,15 @@ the whole lane as a smoke sweep; the tests also run as part of tier-1.
 Covered: the shared executor-spec parser, the micro-batcher's flush /
 backpressure edge cases, in-order delivery under parallel executors, bitwise
 equivalence of served outputs against direct ``run_batch``, the ``process:N``
-pool on a LeNet workload, thread-safety of the accelerator's functional
+pool on a LeNet workload (including many concurrent submitting threads),
+thread-safety of the accelerator's functional
 statistics, SLO telemetry, arrival processes and the serve/loadgen CLI.
 """
 
 from __future__ import annotations
 
 import json
+import random
 import threading
 import time
 
@@ -472,6 +474,52 @@ class TestEngineWorkerPool:
         pool.close()
         with pytest.raises(ServeError, match="closed"):
             pool.submit(images[:1])
+
+
+class TestConcurrentStress:
+    THREADS = 6
+    BATCHES_PER_THREAD = 3
+
+    def test_many_threads_process_replicas_no_torn_reads(self, lenet_workload):
+        """Every concurrently served batch must come back bitwise-correct.
+
+        Each thread repeatedly serves a random (seeded) row subset through a
+        ``process:3`` pool; a result handed to the wrong caller, or two
+        dispatches sharing one replica, would surface as a row mismatch
+        against the direct reference outputs.
+        """
+        network, weights, config, images, direct = lenet_workload
+        replica = EngineReplicaSpec(network=network, weights=weights, config=config)
+        failures: list = []
+        with EngineWorkerPool(replica, "process:3") as pool:
+
+            def hammer(thread_index: int) -> None:
+                rng = random.Random(1000 + thread_index)
+                try:
+                    for _ in range(self.BATCHES_PER_THREAD):
+                        rows = sorted(
+                            rng.sample(range(len(images)), rng.randint(1, 4))
+                        )
+                        outputs = pool.submit(images[rows]).result(timeout=300.0)
+                        if not np.array_equal(outputs, direct[rows]):
+                            failures.append(
+                                f"thread {thread_index}: torn read on rows {rows}"
+                            )
+                except Exception as error:  # surfaces in the main thread
+                    failures.append(f"thread {thread_index}: {error!r}")
+
+            threads = [
+                threading.Thread(
+                    target=hammer, args=(i,), name=f"pool-stress-{i}", daemon=True
+                )
+                for i in range(self.THREADS)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=600.0)
+            assert not any(t.is_alive() for t in threads), "stress thread hung"
+        assert not failures, "\n".join(failures)
 
 
 class TestSatelliteGuards:
