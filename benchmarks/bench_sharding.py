@@ -1,24 +1,21 @@
 """Multi-core sharding benchmarks of the functional GEMM datapath.
 
-These guard the `repro.core.sharding` subsystem: sharded execution must stay
-bitwise identical to serial execution, split the tile load evenly across the
-chip's crossbar cores, and agree with the analytical dual-core schedule
+These guard the `repro.core.sharding` subsystem's per-core accounting: the
+round-robin tile assignment must split the tile load evenly across the chip's
+crossbar cores and agree with the analytical dual-core schedule
 (:class:`~repro.crossbar.dual_core.DualCoreCrossbar`) on the resulting
-speed-up.
+speed-up, and a dual-core chip must compute bitwise the same outputs as a
+single-core one.
 
 Scaling is asserted on the *modelled* chip timeline (per-core busy times and
-the event-driven dual-core makespan): the crossbar cores being sharded are
-photonic cores of the modelled chip, so their concurrency is real regardless
-of how many host CPUs the benchmark machine has.  Host wall-clock is measured
-too, but only to bound the worker-pool overhead (CI machines may expose a
-single CPU, where thread-pool wall-clock gains are impossible by
-construction).
+the event-driven dual-core makespan): the crossbar cores are photonic cores of
+the modelled chip, so their concurrency does not depend on how many host CPUs
+the benchmark machine has.
 """
 
 from __future__ import annotations
 
 import csv
-import time
 
 import numpy as np
 
@@ -41,32 +38,19 @@ def _lenet_setup():
     return network, weights, images
 
 
-def _timed_run_batch(execution, network, weights, images):
-    engine = FunctionalInferenceEngine(
-        network, weights, small_test_chip(**_CHIP), execution=execution
-    )
-    engine.run_batch(images)  # cold: pays the one-time PCM programming
-    start = time.perf_counter()
-    outputs = engine.run_batch(images)  # warm: pure sharded GEMM streaming
-    elapsed = time.perf_counter() - start
-    return outputs, elapsed, engine.accelerator
-
-
 def test_sharded_lenet_batch_multicore_scaling(results_dir):
-    """Sharded LeNet batch: bitwise-equal, balanced cores, dual-core speedup."""
+    """LeNet batch on two cores: bitwise-equal, balanced cores, dual-core speedup."""
     network, weights, images = _lenet_setup()
-    serial_out, serial_s, _ = _timed_run_batch("serial", network, weights, images)
-    sharded_out, sharded_s, accelerator = _timed_run_batch(
-        "thread", network, weights, images
-    )
-
-    # Acceptance criterion: sharding must not change a single bit.
-    assert np.array_equal(serial_out, sharded_out)
+    single_core = small_test_chip(**{**_CHIP, "num_cores": 1})
+    single = FunctionalInferenceEngine(network, weights, single_core)
+    dual = FunctionalInferenceEngine(network, weights, small_test_chip(**_CHIP))
+    # Acceptance criterion: the core count must not change a single bit.
+    assert np.array_equal(single.run_batch(images), dual.run_batch(images))
 
     # The round-robin shard split keeps both crossbar cores near-equally busy,
     # which is where the multi-core scaling comes from.
-    stats = accelerator.functional_statistics()
-    core_busy = stats["per_core_busy_time_s"]
+    accelerator = dual.accelerator
+    core_busy = accelerator.functional_statistics()["per_core_busy_time_s"]
     assert len(core_busy) == 2 and min(core_busy) > 0.0
     balance = min(core_busy) / max(core_busy)
     assert balance > 0.5
@@ -78,34 +62,25 @@ def test_sharded_lenet_batch_multicore_scaling(results_dir):
     summary = accelerator.analytical_schedule(gemm_weights, num_vectors=_BATCH)
     assert summary["speedup"] > 1.3
 
-    # The worker pool must not cost meaningful host time even on 1-CPU hosts.
-    assert sharded_s < serial_s * 2.0
-
     with open(results_dir / "sharding_scaling.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
+        writer.writerow(["core0_busy_s", "core1_busy_s", "dual_core_speedup"])
         writer.writerow(
-            ["execution", "warm_batch_s", "core0_busy_s", "core1_busy_s",
-             "dual_core_speedup"]
-        )
-        writer.writerow(["serial", f"{serial_s:.6f}", "", "", ""])
-        writer.writerow(
-            ["thread", f"{sharded_s:.6f}", f"{core_busy[0]:.3e}",
-             f"{core_busy[1]:.3e}", f"{summary['speedup']:.3f}"]
+            [f"{core_busy[0]:.3e}", f"{core_busy[1]:.3e}", f"{summary['speedup']:.3f}"]
         )
     print(
-        f"sharded LeNet batch: serial {serial_s:.3f}s, thread {sharded_s:.3f}s, "
-        f"core balance {balance:.2f}, analytical dual-core speedup "
-        f"{summary['speedup']:.2f}x"
+        f"sharded LeNet batch: core balance {balance:.2f}, analytical dual-core "
+        f"speedup {summary['speedup']:.2f}x"
     )
 
 
 def test_sharded_gemm_throughput(benchmark):
-    """Warm sharded GEMM streaming on a 16-tile plan (thread pool)."""
+    """Warm fused GEMM streaming on a 16-tile plan (4 k-blocks of 4 tiles)."""
     chip = small_test_chip(**_CHIP)
     rng = np.random.default_rng(2)
     weights = rng.normal(size=(256, 256))  # 4x4 tile grid on the 64x64 chip
     inputs = rng.uniform(0, 1, (512, 256))
-    accelerator = OpticalCrossbarAccelerator(chip, execution="thread")
+    accelerator = OpticalCrossbarAccelerator(chip)
     accelerator.linear(weights, inputs)  # program once
 
     result = benchmark(lambda: accelerator.linear(weights, inputs))

@@ -153,12 +153,12 @@ def _parse_model_assignment(value: str):
 
 
 def _parse_workers(value: str) -> ExecutorSpec:
-    """Parse an executor spelling shared by ``infer --workers`` and ``serve``.
+    """Parse a replica-pool executor spelling (``serve``/``loadgen --executor``).
 
-    Delegates to :func:`repro.serve.parse_executor_spec`, so every command
-    accepts exactly the same spellings: 'serial', 'thread', 'thread:N',
-    'process', 'process:N' or a positive integer (thread pool of N).
-    Malformed specs are rejected with the parser's SimulationError message.
+    Delegates to :func:`repro.serve.parse_executor_spec`: 'serial', 'thread',
+    'thread:N', 'process', 'process:N' or a positive integer (thread pool of
+    N).  Malformed specs are rejected with the parser's SimulationError
+    message.
     """
     try:
         return parse_executor_spec(value)
@@ -166,12 +166,14 @@ def _parse_workers(value: str) -> ExecutorSpec:
         raise argparse.ArgumentTypeError(str(error)) from error
 
 
-def _sharding_execution(spec: ExecutorSpec) -> "str | int":
-    """Map a serial/thread :class:`ExecutorSpec` onto the accelerator's
-    intra-engine tile-sharding spelling (``process`` does not apply there)."""
-    if spec.kind == "serial":
-        return "serial"
-    return "thread" if spec.count is None else spec.count
+def _parse_infer_workers(value: str) -> ExecutorSpec:
+    """Parse ``infer --workers``: 'serial' or 'process:N', nothing else."""
+    spec = _parse_workers(value)
+    if spec.kind == "thread" or (spec.kind == "process" and spec.count is None):
+        raise argparse.ArgumentTypeError(
+            f"invalid --workers {value!r}: expected 'serial' or 'process:N'"
+        )
+    return spec
 
 
 #: Noise preset name -> model used by the functional commands.
@@ -519,16 +521,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     infer.add_argument(
         "--workers",
-        type=_parse_workers,
+        type=_parse_infer_workers,
         default="serial",
         help=(
-            "execution: 'serial' (default), 'thread' (one sharding worker per "
-            "crossbar core), 'thread:N' / a positive worker count (sharded "
-            "thread pool), or 'process:N' (data-parallel engine replicas, one "
-            "per process); deterministic results are bitwise identical for "
-            "every setting (with --noise, the process path chunks the batch "
-            "across replicas, so noisy outputs differ from one monolithic "
-            "batch)"
+            "execution: 'serial' (default, one engine in this process) or "
+            "'process:N' (data-parallel engine replicas, one per process); "
+            "deterministic results are bitwise identical for both (with "
+            "--noise, the process path chunks the batch across replicas, so "
+            "noisy outputs differ from one monolithic batch)"
         ),
     )
     infer.add_argument("--weight-seed", type=int, default=0, help="synthetic weight seed")
@@ -853,11 +853,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         ).run_batch_reference(images)
     else:
         engine = FunctionalInferenceEngine(
-            network,
-            weights,
-            config,
-            noise_model=noise_model,
-            execution=_sharding_execution(args.workers),
+            network, weights, config, noise_model=noise_model
         )
         start = time.perf_counter()
         optical = engine.run_batch(images)

@@ -19,29 +19,35 @@ programs one :class:`~repro.crossbar.signed.SignedCrossbarEngine` per tile,
 and every later call with the same weights — every image of a batch, every
 repeated inference — reuses the programmed engines without touching the PCM
 again.  Programming statistics survive cache eviction and are reported by
-:meth:`functional_statistics`.  Inputs stream through the cached tiles as
-batched GEMMs (:meth:`SignedCrossbarEngine.matmul`), so a whole batch of
-vectors per tile costs one BLAS call instead of a Python loop.
-
-Multi-core sharded execution
-----------------------------
-The per-tile GEMMs of a plan are dispatched through a
-:class:`~repro.core.sharding.ShardedExecutionEngine`, which assigns tile ``i``
-to crossbar core ``i % num_cores`` (the same static round-robin the analytical
-:class:`~repro.crossbar.dual_core.DualCoreCrossbar` schedule uses) and can run
-the shards on a thread pool (``execution="thread"`` or an integer worker
-count).  Each tile's noise generator is derived from an independent
-``SeedSequence`` child keyed by the weight content and tile index, so sharded
-execution is bitwise identical to serial execution even with a noise model,
-and noisy outputs do not depend on the order in which tile plans were built.
-Per-core tile counts and busy-time estimates are accumulated into
 :meth:`functional_statistics`.
+
+Fused k-block layout
+--------------------
+While it programs a plan, the accelerator also lays out each k-block (the
+tiles sharing ``k_start``) for one fused pass: a
+:class:`~repro.core.sharding.FusedKBlock` whose ``[W+ | W-]`` buffer holds
+the live columns of every tile in the block.  Each full-width tile's arrays
+are programmed straight into their slots of that buffer, so the programmed
+weights are stored once; only a partial tile (the last column tile of a
+ragged grid) keeps its own padded matrix and has its live columns copied in.
+A whole batch then costs one GEMM and one ADC pass per k-block instead of a
+Python loop over tiles.
+
+Multi-core accounting
+---------------------
+Plans are executed by a :class:`~repro.core.sharding.ShardedExecutionEngine`,
+which assigns tile ``i`` to crossbar core ``i % num_cores`` (the same static
+round-robin the analytical :class:`~repro.crossbar.dual_core.DualCoreCrossbar`
+schedule uses) and reports per-core tile counts and busy-time estimates,
+accumulated into :meth:`functional_statistics`.  Each tile's noise generator
+is derived from an independent ``SeedSequence`` child keyed by the weight
+content and tile index, so noisy outputs do not depend on the order in which
+tile plans were built.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -51,7 +57,7 @@ import numpy as np
 from repro.concurrency import make_rlock, thread_shared
 from repro.config.chip import ChipConfig
 from repro.config.presets import optimal_chip
-from repro.core.sharding import ShardedExecutionEngine, WorkerSpec
+from repro.core.sharding import FusedKBlock, ShardedExecutionEngine
 from repro.crossbar.dual_core import ProgrammingJob
 from repro.crossbar.noise import CrossbarNoiseModel
 from repro.crossbar.signed import SignedCrossbarEngine
@@ -84,11 +90,19 @@ class _ProgrammedTile:
 
 @dataclass
 class _TilePlan:
-    """The full programmed tiling of one weight matrix."""
+    """The full programmed tiling of one weight matrix.
+
+    ``blocks`` holds one fused k-block per ``k_start``, in plan order;
+    ``core_tile_counts`` / ``core_programming_time_s`` are the per-core
+    totals of the round-robin assignment, computed once at build time.
+    """
 
     k: int
     n: int
     tiles: List[_ProgrammedTile]
+    blocks: List[FusedKBlock]
+    core_tile_counts: Tuple[int, ...]
+    core_programming_time_s: Tuple[float, ...]
 
 
 @thread_shared
@@ -107,11 +121,6 @@ class OpticalCrossbarAccelerator:
     max_cached_weight_plans:
         Upper bound on the number of distinct weight matrices whose
         programmed tile plans are kept alive (LRU eviction beyond it).
-    execution:
-        Worker-pool specification for multi-core sharded execution of the
-        per-tile GEMMs: ``"serial"`` (default, inline), ``"thread"`` (one
-        worker thread per crossbar core) or a positive integer worker count.
-        Results are bitwise identical across all settings.
     """
 
     def __init__(
@@ -120,13 +129,12 @@ class OpticalCrossbarAccelerator:
         noise_model: Optional[CrossbarNoiseModel] = None,
         seed: int = 0,
         max_cached_weight_plans: int = 64,
-        execution: WorkerSpec = "serial",
     ) -> None:
         self.config = config or optimal_chip()
         self.noise_model = noise_model
         self._seed_sequence = np.random.SeedSequence(seed)
         self.sharding = ShardedExecutionEngine(
-            self.config.num_cores, self.config.mac_clock_hz, workers=execution
+            self.config.num_cores, self.config.mac_clock_hz
         )
         self._simulator = CrossbarDataflowSimulator(self.config)
         if max_cached_weight_plans < 1:
@@ -135,15 +143,14 @@ class OpticalCrossbarAccelerator:
             )
         self._max_cached_weight_plans = max_cached_weight_plans
         # Serialises tile-plan cache mutation and statistics accumulation so
-        # concurrent `linear` calls (thread-pool serving, sharded workers)
-        # cannot lose counter increments or corrupt the LRU order.  GEMM
-        # execution itself happens outside the lock.  Scope: with a noise
-        # model, concurrent `linear` calls on one accelerator interleave the
-        # per-tile generator state in arrival order, so noisy outputs are not
-        # reproducible across such runs (counters stay exact); callers that
-        # need reproducible noise must not share one accelerator across
-        # threads — the serving pool's replicas are checked out exclusively
-        # for this reason.
+        # concurrent `linear` calls (thread-pool serving) cannot lose counter
+        # increments or corrupt the LRU order.  GEMM execution itself happens
+        # outside the lock.  Scope: with a noise model, concurrent `linear`
+        # calls on one accelerator interleave the per-tile generator state in
+        # arrival order, so noisy outputs are not reproducible across such
+        # runs (counters stay exact); callers that need reproducible noise
+        # must not share one accelerator across threads — the serving pool's
+        # replicas are checked out exclusively for this reason.
         self._stats_lock = make_rlock("OpticalCrossbarAccelerator._stats_lock")
         self._tile_plans: "OrderedDict[Tuple, _TilePlan]" = OrderedDict()
         self._functional_stats = {
@@ -174,8 +181,7 @@ class OpticalCrossbarAccelerator:
     # ------------------------------------------------------------------ functional
     def _weight_key(self, weights: np.ndarray) -> Tuple:
         """Content-identity key of a weight matrix (shape + byte digest)."""
-        contiguous = np.ascontiguousarray(weights)
-        digest = hashlib.sha1(contiguous.tobytes()).digest()
+        digest = hashlib.sha1(np.ascontiguousarray(weights)).digest()
         return (weights.shape, digest)
 
     def _tile_seed_sequences(self, key: Tuple, num_tiles: int) -> List[np.random.SeedSequence]:
@@ -183,10 +189,8 @@ class OpticalCrossbarAccelerator:
 
         The children are spawned from a sequence keyed by the accelerator seed
         *and* the weight matrix's content key, so each tile's noise stream
-        depends only on (seed, weights, tile index) — not on how many plans
-        were built before, nor on which thread executes the tile.  This is
-        what makes noisy sharded execution bitwise identical to serial
-        execution.
+        depends only on (seed, weights, tile index), not on how many plans
+        were built before.
         """
         shape, digest = key
         plan_sequence = np.random.SeedSequence(
@@ -196,41 +200,68 @@ class OpticalCrossbarAccelerator:
         return plan_sequence.spawn(num_tiles)
 
     def _build_tile_plan_locked(self, weights: np.ndarray, key: Tuple) -> _TilePlan:
-        """Derive the tile grid for ``weights`` and program every tile once."""
+        """Derive the tile grid for ``weights``, program every tile once, and
+        lay out each k-block's fused ``[W+ | W-]`` buffer."""
         k, n = weights.shape
         rows, columns = self.config.rows, self.config.columns
-        spans = [
-            (k_start, min(k_start + rows, k), n_start, min(n_start + columns, n))
-            for k_start in range(0, k, rows)
-            for n_start in range(0, n, columns)
-        ]
-        tile_seeds = self._tile_seed_sequences(key, len(spans))
+        k_starts, n_starts = range(0, k, rows), range(0, n, columns)
+        tile_seeds = iter(self._tile_seed_sequences(key, len(k_starts) * len(n_starts)))
         tiles: List[_ProgrammedTile] = []
-        for (k_start, k_end, n_start, n_end), tile_seed in zip(spans, tile_seeds):
-            tile = np.zeros((rows, columns))
-            tile[: k_end - k_start, : n_end - n_start] = weights[
-                k_start:k_end, n_start:n_end
-            ]
-            engine = SignedCrossbarEngine(
-                rows,
-                columns,
-                technology=self.config.technology,
-                noise_model=self.noise_model,
-                rng=np.random.default_rng(tile_seed),
-            )
-            engine.program(tile)
-            stats = engine.statistics()
-            self._functional_stats["programming_events"] += int(
-                stats["programming_events"]
-            )
-            self._functional_stats["programming_energy_j"] += stats[
-                "programming_energy_j"
-            ]
-            self._functional_stats["programming_time_s"] += stats[
-                "programming_time_s"
-            ]
-            tiles.append(_ProgrammedTile(engine, k_start, k_end, n_start, n_end))
-        return _TilePlan(k=k, n=n, tiles=tiles)
+        blocks: List[FusedKBlock] = []
+        # Every k-block's [W+ | W-] buffer comes from one allocation: a
+        # large one is backed by reused (or huge) pages, so programming a
+        # plan does not take a page fault per 4 KiB of weights.
+        fused_blocks = np.empty((len(k_starts), rows, 2 * n))
+        for k_start, fused in zip(k_starts, fused_blocks):
+            k_end = min(k_start + rows, k)
+            block_tiles: List[_ProgrammedTile] = []
+            matrices = []
+            for n_start in n_starts:
+                n_end = min(n_start + columns, n)
+                width = n_end - n_start
+                tile = np.zeros((rows, columns))
+                tile[: k_end - k_start, :width] = weights[k_start:k_end, n_start:n_end]
+                engine = SignedCrossbarEngine(
+                    rows,
+                    columns,
+                    technology=self.config.technology,
+                    noise_model=self.noise_model,
+                    rng=np.random.default_rng(next(tile_seeds)),
+                )
+                # A full-width tile is programmed straight into its fused
+                # slots; a partial tile keeps its own padded matrices and
+                # copies their live columns in.
+                if width == columns:
+                    storage = (fused[:, n_start:n_end], fused[:, n + n_start : n + n_end])
+                else:
+                    storage = (np.empty((rows, columns)), np.empty((rows, columns)))
+                engine.program(tile, out=storage)
+                if width < columns:
+                    fused[:, n_start:n_end] = storage[0][:, :width]
+                    fused[:, n + n_start : n + n_end] = storage[1][:, :width]
+                stats = engine.statistics()
+                self._functional_stats["programming_events"] += int(
+                    stats["programming_events"]
+                )
+                self._functional_stats["programming_energy_j"] += stats[
+                    "programming_energy_j"
+                ]
+                self._functional_stats["programming_time_s"] += stats[
+                    "programming_time_s"
+                ]
+                block_tiles.append(_ProgrammedTile(engine, k_start, k_end, n_start, n_end))
+                matrices.append(storage)
+            blocks.append(FusedKBlock.build(k_start, k_end, fused, block_tiles, matrices))
+            tiles.extend(block_tiles)
+        counts, programming_time_s = self.sharding.core_totals(tiles)
+        return _TilePlan(
+            k=k,
+            n=n,
+            tiles=tiles,
+            blocks=blocks,
+            core_tile_counts=counts,
+            core_programming_time_s=programming_time_s,
+        )
 
     def _programmed_tile_plan(self, weights: np.ndarray) -> _TilePlan:
         """Fetch (or build and cache) the programmed tile plan for ``weights``."""
@@ -397,7 +428,7 @@ class OpticalCrossbarAccelerator:
         return self.sharding.schedule_summary(plan, num_vectors)
 
     def linear(self, weights: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-        """Compute ``inputs @ weights`` on the functional crossbar, tile by tile.
+        """Compute ``inputs @ weights`` on the functional crossbar.
 
         Parameters
         ----------
@@ -413,9 +444,9 @@ class OpticalCrossbarAccelerator:
             computed with INT6 quantisation of weights, inputs and outputs.
 
         The weight matrix is programmed at most once (see module docstring);
-        the input batch streams through the cached tiles as GEMMs, sharded
-        across the chip's crossbar cores by the configured ``execution``
-        policy (bitwise identical results for every policy).
+        the input batch streams through the cached plan as one fused GEMM and
+        ADC pass per k-block, with the tiles accounted round-robin across the
+        chip's crossbar cores.
         """
         weights = np.asarray(weights, dtype=float)
         inputs = np.asarray(inputs, dtype=float)
@@ -431,7 +462,7 @@ class OpticalCrossbarAccelerator:
             )
 
         plan = self._programmed_tile_plan(weights)
-        result, report = self.sharding.execute(plan, inputs, self.config.rows)
+        result, report = self.sharding.execute(plan, inputs)
         with self._stats_lock:
             self._functional_stats["sharded_dispatches"] += 1
             for core in range(self.config.num_cores):

@@ -26,12 +26,21 @@ a single BLAS GEMM (``modulated @ weights``), and detected/quantised as one
 In noiseless (deterministic) operation the batched path is guaranteed to
 produce ADC output codes bitwise-identical to streaming the vectors one at a
 time: BLAS GEMM and GEMV kernels can disagree in the last ulp, so after the
-batched detection any output whose quantiser argument lands within ``1e-6``
-LSB of a rounding boundary has its row recomputed with the per-vector GEMV
-kernel before the ADC code is emitted (see ``_detect_codes``).  The analog
+batched detection any output whose quantiser argument lands within
+:data:`ADC_BOUNDARY_WINDOW` of a rounding boundary has its row recomputed
+with the per-vector GEMV kernel before the ADC code is emitted (see
+``_detect_codes``).  The analog
 (``quantize_output=False``) results may still differ from the per-vector path
 at the last-ulp level — only the quantised datapath carries the bitwise
 guarantee, which is what the functional INT6 network execution uses.
+
+This class is the single-tile API and the reference for the accelerator's
+network datapath, which does not call :meth:`matmul`:
+:class:`~repro.core.sharding.ShardedExecutionEngine` runs every tile of a
+k-block in one fused GEMM against a shared weight buffer and repairs against
+the same per-vector GEMV on each tile's matrix.  An array programmed with
+``program_weights(..., out=buffer_view)`` keeps its matrix in that buffer, so
+the accelerator stores each programmed tile once.
 """
 
 from __future__ import annotations
@@ -49,7 +58,7 @@ from repro.photonics.ring import RingResonatorODAC
 #: Half-LSB window (in ADC-code units) around a rounding boundary inside
 #: which a batched GEMM result is re-derived with the per-vector GEMV kernel.
 #: BLAS GEMM-vs-GEMV discrepancies are ~1e-11 code units, far below this.
-_ADC_BOUNDARY_WINDOW = 1e-6
+ADC_BOUNDARY_WINDOW = 1e-6
 
 
 def design_input_coupling(columns: int) -> np.ndarray:
@@ -61,7 +70,7 @@ def design_input_coupling(columns: int) -> np.ndarray:
     """
     if columns < 1:
         raise SimulationError(f"columns must be >= 1, got {columns}")
-    return np.array([1.0 / (columns - j) for j in range(columns)])
+    return 1.0 / (columns - np.arange(columns))
 
 
 def design_output_coupling(rows: int) -> np.ndarray:
@@ -76,7 +85,7 @@ def design_output_coupling(rows: int) -> np.ndarray:
     """
     if rows < 1:
         raise SimulationError(f"rows must be >= 1, got {rows}")
-    return np.array([1.0 / (i + 1) for i in range(rows)])
+    return 1.0 / np.arange(1, rows + 1)
 
 
 class CrossbarArray:
@@ -187,11 +196,16 @@ class CrossbarArray:
         """Total PCM programming time spent so far (s)."""
         return self._programming_time_s
 
-    def program_weights(self, weights: np.ndarray) -> np.ndarray:
+    def program_weights(
+        self, weights: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Quantise ``weights`` to the PCM levels and store them in the array.
 
         ``weights`` must have shape (rows, columns) with entries in [0, 1]
-        (the PCM can only absorb).  Returns the quantised matrix actually
+        (the PCM can only absorb).  When ``out`` is given — a (rows, columns)
+        float array, typically a view into a larger buffer — the quantised
+        matrix is written into it and the array keeps ``out`` as its storage
+        instead of a private copy.  Returns the quantised matrix actually
         stored.
         """
         weights = np.asarray(weights, dtype=float)
@@ -206,6 +220,13 @@ class CrossbarArray:
             min_transmission=self.technology.pcm_min_transmission,
             max_transmission=self.technology.pcm_max_transmission,
         )
+        if out is not None:
+            if out.shape != (self.rows, self.columns):
+                raise ProgrammingError(
+                    f"out must have shape ({self.rows}, {self.columns}), got {out.shape}"
+                )
+            out[...] = quantised
+            quantised = out
         self._weights = quantised
         self._programmed = True
         # The receiver's programmable TIA gain is recalibrated per weight tile
@@ -346,7 +367,7 @@ class CrossbarArray:
 
         When the field datapath is deterministic (no noise model, or one whose
         field impairments are all zero), any element whose quantiser argument falls within
-        ``_ADC_BOUNDARY_WINDOW`` of a rounding boundary has its whole row
+        ``ADC_BOUNDARY_WINDOW`` of a rounding boundary has its whole row
         recomputed with the per-vector GEMV kernel, guaranteeing the emitted
         ADC codes match the per-vector path bitwise.
         """
@@ -364,7 +385,7 @@ class CrossbarArray:
                 quantiser_arg - np.floor(quantiser_arg) - 0.5
             )
             risky_rows = np.unique(
-                np.nonzero(boundary_distance < _ADC_BOUNDARY_WINDOW)[0]
+                np.nonzero(boundary_distance < ADC_BOUNDARY_WINDOW)[0]
             )
             for i in risky_rows:
                 row_fields = scale * (modulated[i] @ self._weights)

@@ -24,11 +24,15 @@ negative-input passes are skipped outright.  Vectors that do contain negative
 entries only add zero-rows for the all-positive vectors in the batch, which
 contribute exact zeros, so batched outputs match the per-vector path bitwise
 in noiseless mode.  :meth:`matvec` is a thin single-row wrapper.
+
+This is the single-tile API.  The accelerator's network datapath runs the
+same signed decomposition for every tile of a k-block at once (see
+:mod:`repro.core.sharding`) and matches :meth:`matmul` bitwise.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -73,8 +77,17 @@ class SignedCrossbarEngine:
         self._programmed = False
 
     # ------------------------------------------------------------------ weights
-    def program(self, weights: np.ndarray) -> None:
-        """Program a signed weight matrix of shape (rows, columns)."""
+    def program(
+        self,
+        weights: np.ndarray,
+        out: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ) -> None:
+        """Program a signed weight matrix of shape (rows, columns).
+
+        ``out`` optionally names the (positive, negative) storage the two
+        arrays keep their quantised matrices in (see
+        :meth:`CrossbarArray.program_weights`).
+        """
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (self.rows, self.columns):
             raise SimulationError(
@@ -83,8 +96,9 @@ class SignedCrossbarEngine:
         scale = float(np.max(np.abs(weights)))
         self._weight_scale = scale if scale > 0 else 1.0
         positive, negative = split_signed_matrix(weights / self._weight_scale)
-        self.positive_array.program_weights(positive)
-        self.negative_array.program_weights(negative)
+        positive_out, negative_out = out if out is not None else (None, None)
+        self.positive_array.program_weights(positive, out=positive_out)
+        self.negative_array.program_weights(negative, out=negative_out)
         self._programmed = True
 
     @property

@@ -169,9 +169,14 @@ def quantize_weight_matrix(
             "PCM weights must be in [0, 1]; normalise/shift the matrix first "
             f"(got range [{weights.min()}, {weights.max()}])"
         )
-    clipped = np.clip(weights, 0.0, 1.0)
     span = max_transmission - min_transmission
     if span <= 0:
         raise ProgrammingError("max_transmission must exceed min_transmission")
-    level_indices = np.round(clipped * (levels - 1))
-    return min_transmission + span * level_indices / (levels - 1)
+    # min + span * round(clip(w) * (levels - 1)) / (levels - 1), in place.
+    quantised = np.clip(weights, 0.0, 1.0)
+    quantised *= levels - 1
+    np.round(quantised, out=quantised)
+    quantised *= span
+    quantised /= levels - 1
+    quantised += min_transmission
+    return quantised

@@ -137,11 +137,19 @@ def encode_array_b64(array: np.ndarray) -> str:
     return base64.b64encode(buffer.getvalue()).decode("ascii")
 
 
+#: ``np.load`` parses the ``.npy`` header with ``ast.literal_eval``.  On
+#: CPython 3.11 the AST constructor's recursion-depth check is not safe under
+#: concurrent parses: handler threads decoding at once intermittently fail
+#: with "AST constructor recursion depth mismatch".  Loads are serialised.
+_NPY_LOAD_LOCK = make_lock("serve.http._NPY_LOAD_LOCK")
+
+
 def decode_array_b64(text: str) -> np.ndarray:
     """Inverse of :func:`encode_array_b64`; malformed input → 400."""
     try:
         raw = base64.b64decode(text, validate=True)
-        return np.load(io.BytesIO(raw), allow_pickle=False)
+        with _NPY_LOAD_LOCK:
+            return np.load(io.BytesIO(raw), allow_pickle=False)
     except Exception as error:
         raise BadRequestError(f"invalid base64 .npy payload: {error}") from error
 

@@ -5,7 +5,8 @@ replicas*: every worker owns a full :class:`~repro.core.inference.
 FunctionalInferenceEngine` (network + weights + programmed PCM tiles), and
 micro-batches are dispatched to whichever replica is free.  Three executor
 kinds are supported, spelled the same way everywhere (the ``serve`` /
-``loadgen`` commands and ``infer --workers`` share :func:`parse_executor_spec`):
+``loadgen`` commands share :func:`parse_executor_spec`; ``infer --workers``
+accepts its ``serial`` and ``process:N`` spellings):
 
 ``serial``
     One replica, executed inline on the calling thread.
@@ -104,12 +105,11 @@ class ExecutorSpec:
 
 
 def parse_executor_spec(value: Union[str, int, "ExecutorSpec"]) -> ExecutorSpec:
-    """Parse an executor spelling shared by ``serve`` and ``infer --workers``.
+    """Parse an executor spelling shared by ``serve`` and ``loadgen``.
 
     Accepted spellings: ``"serial"``, ``"thread"``, ``"thread:N"``,
-    ``"process"``, ``"process:N"`` and a bare positive integer (kept for
-    backwards compatibility with ``infer --workers N``, where it means a
-    thread pool of ``N`` workers).  Anything else raises a
+    ``"process"``, ``"process:N"`` and a bare positive integer (a thread
+    pool of ``N`` replicas).  Anything else raises a
     :class:`~repro.errors.SimulationError` naming the accepted forms.
     """
     if isinstance(value, ExecutorSpec):
@@ -178,11 +178,6 @@ class EngineReplicaSpec:
     config: Optional[ChipConfig] = None
     noise_model: Optional[CrossbarNoiseModel] = None
     seed: int = 0
-    #: Intra-replica tile sharding passed through to the accelerator
-    #: (``"serial"``, ``"thread"`` or a worker count); replicas default to
-    #: serial tile execution because serving parallelism already comes from
-    #: the replica pool.
-    execution: Union[str, int] = "serial"
     #: Optional representative input run through every replica at start-up so
     #: the one-time PCM tile programming does not land on the first request.
     warmup_image: Optional[np.ndarray] = None
@@ -199,7 +194,6 @@ class EngineReplicaSpec:
             self.config,
             noise_model=self.noise_model,
             seed=self.seed,
-            execution=self.execution,
         )
         if self.warmup_image is not None:
             engine.run_batch(np.asarray(self.warmup_image, dtype=float)[None])

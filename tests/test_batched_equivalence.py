@@ -266,6 +266,71 @@ class TestAcceleratorEquivalence:
         assert np.array_equal(batched, per_image)
 
 
+class TestFusedKBlockEquivalence:
+    """The fused k-block pass against the seed's per-tile, per-vector loop."""
+
+    @pytest.mark.parametrize(
+        "rows, k, n",
+        [
+            (8, 20, 3),  # k % rows != 0 and n < columns
+            (32, 25, 6),  # LeNet conv1 on the 32x32 chip: one partial tile
+            (8, 37, 19),  # n % columns != 0: full tiles plus a partial one
+            (8, 16, 24),  # an exact grid: every tile full width
+        ],
+    )
+    @pytest.mark.parametrize("num_vectors", [1, 2, 9])
+    def test_ragged_grids_bitwise(self, rows, k, n, num_vectors):
+        config = small_test_chip(rows=rows, columns=rows)
+        rng = np.random.default_rng(rows * 1000 + k * 10 + n + num_vectors)
+        weights = rng.normal(size=(k, n))
+        inputs = rng.uniform(0, 1, (num_vectors, k))
+        accelerator = OpticalCrossbarAccelerator(config)
+        assert np.array_equal(
+            accelerator.linear(weights, inputs), seed_linear(config, weights, inputs)
+        )
+
+    def test_signed_inputs_take_the_negative_pass_bitwise(self):
+        config = small_test_chip()
+        rng = np.random.default_rng(13)
+        weights = rng.normal(size=(29, 13))
+        inputs = rng.normal(size=(11, 29))
+        inputs[2] = 0.0  # a zero vector
+        inputs[4] = np.abs(inputs[4])  # an all-positive vector
+        inputs[:, 8:16] = 0.0  # a k-block that is zero for every vector
+        inputs[6, 16:24] = -np.abs(inputs[6, 16:24])  # an all-negative slice
+        accelerator = OpticalCrossbarAccelerator(config)
+        assert np.array_equal(
+            accelerator.linear(weights, inputs), seed_linear(config, weights, inputs)
+        )
+        for vector in inputs:
+            assert np.array_equal(
+                accelerator.linear(weights, vector), seed_linear(config, weights, vector)
+            )
+
+    def test_single_vector_half_lsb_tie_is_repaired_to_the_gemv_code(self):
+        # Column 0 of the first tile sums eight full-scale PCM levels, so the
+        # ADC full scale is 8 and the quantiser argument of output 0 is
+        # (63 + 5) / 8 = 8.5: an exact half-LSB tie on the quantised lattice.
+        config = small_test_chip()
+        rng = np.random.default_rng(14)
+        weights = rng.uniform(0, 1, (8, 16)) * 0.5
+        weights[:, 0] = 1.0
+        vector = np.zeros(8)
+        vector[0], vector[1] = 1.0, 5 / 63
+
+        array = CrossbarArray(8, 8)
+        array.program_weights(weights[:, :8])
+        levels = (1 << array.technology.output_bits) - 1
+        raw = seed_array_matvec(array, vector, quantize=False)
+        quantiser_arg = raw[0] / array.adc_full_scale * levels
+        assert abs(quantiser_arg - np.floor(quantiser_arg) - 0.5) < 1e-6
+
+        accelerator = OpticalCrossbarAccelerator(config)
+        expected = seed_linear(config, weights, vector)
+        assert np.array_equal(accelerator.linear(weights, vector), expected)
+        assert np.array_equal(accelerator.linear(weights, vector[None]), expected[None])
+
+
 class TestPoolingAndIm2colEquivalence:
     def test_im2col_bitwise_matches_loop(self):
         rng = np.random.default_rng(9)

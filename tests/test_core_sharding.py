@@ -11,11 +11,7 @@ import pytest
 from repro.config import small_test_chip
 from repro.core.accelerator import OpticalCrossbarAccelerator
 from repro.core.inference import FunctionalInferenceEngine, generate_random_weights
-from repro.core.sharding import (
-    ShardedExecutionEngine,
-    compute_entries_per_core,
-    resolve_worker_count,
-)
+from repro.core.sharding import ShardedExecutionEngine, compute_entries_per_core
 from repro.crossbar import CrossbarNoiseModel
 from repro.crossbar.dual_core import DualCoreCrossbar
 from repro.errors import SimulationError
@@ -29,26 +25,20 @@ def dual_core_chip(**overrides):
     return small_test_chip(num_cores=2, **overrides)
 
 
-class TestWorkerSpec:
-    def test_serial_resolves_to_inline(self):
-        assert resolve_worker_count("serial", 2) == 0
+def per_tile_linear(accelerator, weights, inputs):
+    """The per-tile loop: each tile's SignedCrossbarEngine.matmul, in plan order."""
+    plan = accelerator._programmed_tile_plan(weights)
+    rows = accelerator.config.rows
+    expected = np.zeros((inputs.shape[0], weights.shape[1]))
+    for tile in plan.tiles:
+        padded = np.zeros((inputs.shape[0], rows))
+        padded[:, : tile.tile_rows] = inputs[:, tile.k_start : tile.k_end]
+        partial = tile.engine.matmul(padded)
+        expected[:, tile.n_start : tile.n_end] += partial[:, : tile.tile_cols]
+    return expected
 
-    def test_thread_resolves_to_one_worker_per_core(self):
-        assert resolve_worker_count("thread", 2) == 2
-        assert resolve_worker_count("thread", 1) == 1
 
-    def test_explicit_count_passes_through(self):
-        assert resolve_worker_count(5, 2) == 5
-
-    @pytest.mark.parametrize("bad", [0, -1, "threads", "parallel", 1.5, True, None])
-    def test_invalid_specs_rejected(self, bad):
-        with pytest.raises(SimulationError):
-            resolve_worker_count(bad, 2)
-
-    def test_accelerator_rejects_invalid_execution(self):
-        with pytest.raises(SimulationError):
-            OpticalCrossbarAccelerator(dual_core_chip(), execution="bogus")
-
+class TestEngineValidation:
     def test_engine_rejects_invalid_dimensions(self):
         with pytest.raises(SimulationError):
             ShardedExecutionEngine(0, 10e9)
@@ -83,37 +73,37 @@ class TestBitwiseEquivalence:
         # 20x11 weights -> a 3x2 tile grid on the 8x8 chip.
         return rng.normal(size=(20, 11)), rng.uniform(-1, 1, (7, 20))
 
-    @pytest.mark.parametrize("execution", ["thread", 2, 3, 8])
-    def test_sharded_linear_matches_serial(self, problem, execution):
-        weights, inputs = problem
-        serial = OpticalCrossbarAccelerator(dual_core_chip()).linear(weights, inputs)
-        sharded = OpticalCrossbarAccelerator(
-            dual_core_chip(), execution=execution
-        ).linear(weights, inputs)
+    @pytest.mark.parametrize("num_vectors", [2, 3, 8])
+    def test_sharded_linear_matches_serial(self, problem, num_vectors):
+        weights, _ = problem
+        inputs = np.random.default_rng(num_vectors).uniform(-1, 1, (num_vectors, 20))
+        serial = OpticalCrossbarAccelerator(small_test_chip()).linear(weights, inputs)
+        sharded = OpticalCrossbarAccelerator(dual_core_chip()).linear(weights, inputs)
         assert np.array_equal(serial, sharded)
 
     def test_sharded_conv2d_matches_serial(self):
         rng = np.random.default_rng(2)
         fmaps = rng.uniform(0, 1, (3, 6, 6, 2))
         weights = rng.normal(size=(3, 3, 2, 4))
-        serial = OpticalCrossbarAccelerator(dual_core_chip()).conv2d(
+        serial = OpticalCrossbarAccelerator(small_test_chip()).conv2d(
             fmaps, weights, stride=1, padding=1
         )
-        sharded = OpticalCrossbarAccelerator(dual_core_chip(), execution="thread").conv2d(
+        sharded = OpticalCrossbarAccelerator(dual_core_chip()).conv2d(
             fmaps, weights, stride=1, padding=1
         )
         assert np.array_equal(serial, sharded)
 
     def test_noisy_sharded_execution_matches_serial(self, problem):
+        # The fused k-block pass draws each tile's noise from the tile's own
+        # generator in the per-tile order, so it reproduces a per-tile
+        # SignedCrossbarEngine.matmul loop over the same seeded tiles.
         weights, inputs = problem
         noise = CrossbarNoiseModel.pessimistic()
-        serial = OpticalCrossbarAccelerator(
+        fused = OpticalCrossbarAccelerator(
             dual_core_chip(), noise_model=noise, seed=11
         ).linear(weights, inputs)
-        sharded = OpticalCrossbarAccelerator(
-            dual_core_chip(), noise_model=noise, seed=11, execution="thread"
-        ).linear(weights, inputs)
-        assert np.array_equal(serial, sharded)
+        reference = OpticalCrossbarAccelerator(dual_core_chip(), noise_model=noise, seed=11)
+        assert np.array_equal(fused, per_tile_linear(reference, weights, inputs))
 
     def test_noisy_results_do_not_depend_on_plan_build_order(self, problem):
         weights, inputs = problem
@@ -128,20 +118,40 @@ class TestBitwiseEquivalence:
     def test_sharded_inference_engine_matches_serial(self):
         network = build_lenet5(input_size=12)
         weights = generate_random_weights(network, seed=6, scale=0.3)
-        config = small_test_chip(rows=32, columns=32, num_cores=2)
         images = np.random.default_rng(7).uniform(0, 1, (4, 12, 12, 1))
-        serial = FunctionalInferenceEngine(network, weights, config).run_batch(images)
+        serial = FunctionalInferenceEngine(
+            network, weights, small_test_chip(rows=32, columns=32)
+        ).run_batch(images)
         sharded = FunctionalInferenceEngine(
-            network, weights, config, execution="thread"
+            network, weights, small_test_chip(rows=32, columns=32, num_cores=2)
         ).run_batch(images)
         assert np.array_equal(serial, sharded)
+
+
+class TestFusedLayout:
+    def test_full_width_tiles_store_their_weights_in_the_fused_buffer(self):
+        accelerator = OpticalCrossbarAccelerator(dual_core_chip())
+        rng = np.random.default_rng(9)
+        weights = rng.normal(size=(20, 11))  # each k-block: one full, one partial tile
+        accelerator.linear(weights, rng.uniform(0, 1, (3, 20)))
+        (plan,) = accelerator._tile_plans.values()
+        assert [block.k_start for block in plan.blocks] == [0, 8, 16]
+        block = plan.blocks[0]
+        full, partial = plan.tiles[0], plan.tiles[1]
+        assert block.weights.shape == (8, 2 * 11)
+        for array in (full.engine.positive_array, full.engine.negative_array):
+            assert np.shares_memory(array._weights, block.weights)
+        for array in (partial.engine.positive_array, partial.engine.negative_array):
+            assert not np.shares_memory(array._weights, block.weights)
+        assert np.array_equal(block.weights[:, 8:11], partial.engine.positive_array.weights[:, :3])
+        assert np.array_equal(block.weights[:, 19:22], partial.engine.negative_array.weights[:, :3])
 
 
 class TestScheduleCrossCheck:
     """functional_statistics() must agree with DualCoreCrossbar's schedule."""
 
     def test_per_core_tile_counts_match_the_analytical_schedule(self):
-        accelerator = OpticalCrossbarAccelerator(dual_core_chip(), execution="thread")
+        accelerator = OpticalCrossbarAccelerator(dual_core_chip())
         rng = np.random.default_rng(4)
         weights = rng.normal(size=(20, 11))  # 6 tiles -> 3 per core
         inputs = rng.uniform(0, 1, (5, 20))
@@ -156,7 +166,7 @@ class TestScheduleCrossCheck:
         assert stats["per_core_busy_time_s"] == pytest.approx(analytical_busy)
 
     def test_busy_time_accumulates_per_dispatch(self):
-        accelerator = OpticalCrossbarAccelerator(dual_core_chip(), execution=2)
+        accelerator = OpticalCrossbarAccelerator(dual_core_chip())
         rng = np.random.default_rng(5)
         weights = rng.normal(size=(16, 8))  # 2 tiles, one per core
         inputs = rng.uniform(0, 1, (3, 16))

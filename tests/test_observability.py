@@ -241,7 +241,9 @@ class TestTracer:
         assert any(picks[0]) and not all(picks[0])
 
     def test_stage_durations_exclude_children(self):
-        tracer = Tracer()
+        # A fixed clock: at a monotonic time of ~3e4 s (host uptime),
+        # (t0 + 0.003) - t0 already misses 0.003 by more than rel_tol.
+        tracer = Tracer(clock=lambda: 1.0)
         trace = tracer.start_trace()
         t0 = trace.start_s
         trace.add_span("admit", t0, t0 + 0.001)

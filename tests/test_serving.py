@@ -71,7 +71,7 @@ def _server(lenet_workload, **overrides):
 
 
 # ---------------------------------------------------------------------------
-# executor-spec parser (shared by serve and infer --workers)
+# executor-spec parser (shared by serve and loadgen; infer --workers takes a subset)
 # ---------------------------------------------------------------------------
 
 
