@@ -13,13 +13,27 @@ Programmed-tile caching
 PCM programming is the expensive, non-volatile step of the functional path:
 each weight tile costs a quantisation pass plus per-cell programming energy
 and time.  ``linear`` therefore keeps an LRU cache of *programmed tile
-plans*, keyed by the weight matrix's content (shape + byte digest).  The
+plans*, keyed by the weight matrix's content (shape + sha1 byte digest).  The
 first call with a given weight matrix derives the tile grid, pads and
 programs one :class:`~repro.crossbar.signed.SignedCrossbarEngine` per tile,
 and every later call with the same weights — every image of a batch, every
 repeated inference — reuses the programmed engines without touching the PCM
 again.  Programming statistics survive cache eviction and are reported by
 :meth:`functional_statistics`.
+
+The digest of a *frozen* buffer is computed once, like the chip's weights,
+which are programmed once and then only read.  A frozen buffer is a
+read-only array whose base chain holds only read-only arrays and ends in an
+owning ndarray; :class:`~repro.core.inference.FunctionalInferenceEngine`
+freezes the weights it is given.  The digest is memoised per owning buffer
+(guarded by a weakref, dropped when the buffer dies) and reused by every
+C-contiguous view that covers the whole buffer, such as the reshaped filter
+matrix :meth:`conv2d` builds.  A writable array is hashed on every call, so
+an in-place edit between calls reprograms the tiles.  What the memo cannot
+see is a write that bypasses the read-only flag: through a writable view
+taken *before* the buffer was frozen, or to a buffer made writable, edited
+and frozen again with no call in between.  Callers who edit weights do so
+on writable arrays.
 
 Fused k-block layout
 --------------------
@@ -48,9 +62,10 @@ tile plans were built.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,6 +82,22 @@ from repro.nn.network import Network
 from repro.perf.metrics import PerformanceMetrics, evaluate_runtime
 from repro.scalesim.runtime import NetworkRuntime
 from repro.scalesim.simulator import CrossbarDataflowSimulator
+
+
+def _buffer_owner(array: np.ndarray) -> Tuple[np.ndarray, bool]:
+    """The last ndarray on ``array``'s base chain, and whether it is frozen.
+
+    Frozen means every array on the chain is read-only and the chain ends in
+    an owning ndarray (``base is None``), so nothing can write the buffer
+    through numpy without first making an array on the chain writable.
+    """
+    node, frozen = array, True
+    while True:
+        frozen = frozen and not node.flags.writeable
+        base = node.base
+        if not isinstance(base, np.ndarray):
+            return node, frozen and base is None
+        node = base
 
 
 @dataclass
@@ -153,6 +184,9 @@ class OpticalCrossbarAccelerator:
         # replicas are checked out exclusively for this reason.
         self._stats_lock = make_rlock("OpticalCrossbarAccelerator._stats_lock")
         self._tile_plans: "OrderedDict[Tuple, _TilePlan]" = OrderedDict()
+        # id(owning buffer) -> (weakref to it, sha1 digest of its bytes); see
+        # `_weight_key`.
+        self._buffer_digests: Dict[int, Tuple[weakref.ref, bytes]] = {}
         self._functional_stats = {
             "programming_events": 0,
             "programming_energy_j": 0.0,
@@ -180,9 +214,47 @@ class OpticalCrossbarAccelerator:
 
     # ------------------------------------------------------------------ functional
     def _weight_key(self, weights: np.ndarray) -> Tuple:
-        """Content-identity key of a weight matrix (shape + byte digest)."""
+        """Content-identity key of a weight matrix (shape + sha1 byte digest).
+
+        The digest of a frozen owning buffer (see :func:`_buffer_owner`) is
+        computed once and memoised; a C-contiguous view that covers the whole
+        buffer has the buffer's bytes, so it reuses that digest.  Each memo
+        entry holds a weakref to its buffer: a later array that happens to
+        get the same ``id`` is not mistaken for it, and the entry is dropped
+        when the buffer dies.  Any other array is hashed on every call, and
+        a call with a buffer that is no longer frozen forgets its digest, so
+        freezing it again re-hashes.  The digest bytes are the same either
+        way, so plan keys and per-tile noise seeds do not depend on the memo.
+        """
+        owner, frozen = _buffer_owner(weights)
+        whole = frozen and weights.flags.c_contiguous and weights.nbytes == owner.nbytes
+        key = id(owner)
+        with self._stats_lock:
+            entry = self._buffer_digests.get(key)
+            if entry is not None and entry[0]() is owner:
+                if whole:
+                    return (weights.shape, entry[1])
+                if not frozen:
+                    del self._buffer_digests[key]
         digest = hashlib.sha1(np.ascontiguousarray(weights)).digest()
+        if whole:
+            accelerator = weakref.ref(self)
+
+            def forget(ref: weakref.ref) -> None:
+                live = accelerator()
+                if live is not None:
+                    live._forget_buffer_digest(key, ref)
+
+            with self._stats_lock:
+                self._buffer_digests[key] = (weakref.ref(owner, forget), digest)
         return (weights.shape, digest)
+
+    def _forget_buffer_digest(self, key: int, ref: weakref.ref) -> None:
+        """Drop the digest memo entry of a dead buffer (weakref callback)."""
+        with self._stats_lock:
+            entry = self._buffer_digests.get(key)
+            if entry is not None and entry[0] is ref:
+                del self._buffer_digests[key]
 
     def _tile_seed_sequences(self, key: Tuple, num_tiles: int) -> List[np.random.SeedSequence]:
         """Independent per-tile child seeds for the plan identified by ``key``.
@@ -424,8 +496,15 @@ class OpticalCrossbarAccelerator:
 
     def analytical_schedule(self, weights: np.ndarray, num_vectors: int) -> Dict[str, float]:
         """:meth:`DualCoreCrossbar.summarize` of the tile plan for ``weights``."""
+        return self.analytical_schedules(weights, (num_vectors,))[0]
+
+    def analytical_schedules(
+        self, weights: np.ndarray, vector_counts: Sequence[int]
+    ) -> List[Dict[str, float]]:
+        """:meth:`analytical_schedule` at each of ``vector_counts``, read from
+        one tile plan (an uncached plan is built once, not once per count)."""
         plan = self._analytics_plan(np.asarray(weights, dtype=float))
-        return self.sharding.schedule_summary(plan, num_vectors)
+        return [self.sharding.schedule_summary(plan, count) for count in vector_counts]
 
     def linear(self, weights: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         """Compute ``inputs @ weights`` on the functional crossbar.

@@ -149,6 +149,23 @@ def _apply_activation(tensor: np.ndarray, kind: str) -> np.ndarray:
     raise WorkloadError(f"unsupported activation {kind!r}")
 
 
+def _frozen_weights(tensor: np.ndarray) -> np.ndarray:
+    """``tensor`` as a read-only float64 array that owns its data.
+
+    An array that already is one (writable or not) is frozen in place; any
+    other tensor is copied once.
+    """
+    if not (
+        type(tensor) is np.ndarray
+        and tensor.dtype == np.float64
+        and tensor.flags.c_contiguous
+        and tensor.flags.owndata
+    ):
+        tensor = np.array(tensor, dtype=np.float64, order="C")
+    tensor.setflags(write=False)
+    return tensor
+
+
 class FunctionalInferenceEngine:
     """Runs a whole network functionally, optically or as a float reference.
 
@@ -160,7 +177,15 @@ class FunctionalInferenceEngine:
         beyond LeNet scale.
     weights:
         Mapping from crossbar-layer name to its weight tensor; see
-        :func:`generate_random_weights` for the expected shapes.
+        :func:`generate_random_weights` for the expected shapes.  The engine
+        freezes them, as programmed PCM weights are fixed: a C-contiguous
+        float64 array that owns its data is made read-only in place (no
+        copy), so the caller's array becomes read-only too and an in-place
+        write raises ``ValueError`` instead of being served from a stale
+        tile plan.  Any other tensor (a view, another dtype, a
+        non-contiguous layout) is converted once into an engine-owned
+        read-only float64 array.  Frozen weights let the accelerator hash
+        each weight buffer once instead of on every call.
     config:
         Chip configuration for the functional crossbar tiles.
     noise_model:
@@ -176,7 +201,7 @@ class FunctionalInferenceEngine:
         seed: int = 0,
     ) -> None:
         self.network = network
-        self.weights = dict(weights)
+        self.weights = {name: _frozen_weights(tensor) for name, tensor in weights.items()}
         self.accelerator = OpticalCrossbarAccelerator(
             config, noise_model=noise_model, seed=seed
         )

@@ -168,37 +168,33 @@ class AnalyticalCostModel:
         batch sizes 1 and 2 (convolutions stream one im2col patch row per
         output position, dense layers one vector per image) and decomposes
         the two points into the B-independent and per-image components.
+        Both points are read from one tile plan per layer.
         """
         from repro.core.accelerator import OpticalCrossbarAccelerator
-
-        accelerator = OpticalCrossbarAccelerator(config)
-        m1 = cls._batch_makespan(accelerator, network, weights, 1)
-        m2 = cls._batch_makespan(accelerator, network, weights, 2)
-        per_image = max(m2 - m1, 1e-15)
-        fixed = max(m1 - per_image, 0.0)
-        return cls(fixed_units=fixed, per_image_units=per_image)
-
-    @staticmethod
-    def _batch_makespan(accelerator, network, weights, batch: int) -> float:
         from repro.nn.im2col import conv_weights_matrix
         from repro.nn.layers import ConvLayer
 
+        accelerator = OpticalCrossbarAccelerator(config)
         makespan_key = (
             "dual_core_makespan_s"
             if accelerator.config.num_cores >= 2
             else "single_core_makespan_s"
         )
-        total = 0.0
+        m1 = m2 = 0.0
         for info in network.crossbar_layers:
             layer = info.layer
             if isinstance(layer, ConvLayer):
                 matrix = conv_weights_matrix(np.asarray(weights[layer.name], dtype=float))
-                vectors = info.output_shape.height * info.output_shape.width * batch
+                vectors = info.output_shape.height * info.output_shape.width
             else:
                 matrix = np.asarray(weights[layer.name], dtype=float)
-                vectors = batch
-            total += accelerator.analytical_schedule(matrix, vectors)[makespan_key]
-        return total
+                vectors = 1
+            one, two = accelerator.analytical_schedules(matrix, (vectors, 2 * vectors))
+            m1 += one[makespan_key]
+            m2 += two[makespan_key]
+        per_image = max(m2 - m1, 1e-15)
+        fixed = max(m1 - per_image, 0.0)
+        return cls(fixed_units=fixed, per_image_units=per_image)
 
 
 class AdaptiveFlushPolicy(FlushPolicy):

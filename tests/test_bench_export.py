@@ -94,6 +94,7 @@ def test_ci_workflow_runs_every_lane():
     for command in (
         "python -m pytest -x -q",
         "python3 perfbench/run.py --workload mlp-batch --seed 1 --seconds 2 --trace 1",
+        '{"programming_events": 184, "tile_cache_misses": 3}',
         "python -m pytest -q -m docs",
         "python -m pytest -q -m serving",
         "python -m pytest -q -m chaos",

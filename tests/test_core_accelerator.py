@@ -1,5 +1,8 @@
 """Tests for the OpticalCrossbarAccelerator façade (performance + functional paths)."""
 
+import gc
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -250,3 +253,135 @@ class TestProgrammedTileCache:
         fresh_tall = OpticalCrossbarAccelerator(small_test_chip()).linear(tall, x_tall)
         assert np.array_equal(result_wide, fresh_wide)
         assert np.array_equal(result_tall, fresh_tall)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+class TestFrozenWeightDigests:
+    """The sha1 digest of a frozen weight buffer is computed once."""
+
+    @pytest.fixture()
+    def accelerator(self):
+        return OpticalCrossbarAccelerator(small_test_chip())
+
+    @pytest.fixture()
+    def sha1_calls(self, monkeypatch):
+        calls = []
+        real_sha1 = hashlib.sha1
+
+        def counting_sha1(data):
+            calls.append(data)
+            return real_sha1(data)
+
+        monkeypatch.setattr("repro.core.accelerator.hashlib.sha1", counting_sha1)
+        return calls
+
+    def test_frozen_buffer_is_hashed_once_across_linear_and_conv2d(
+        self, accelerator, sha1_calls
+    ):
+        rng = np.random.default_rng(0)
+        dense = _frozen(rng.normal(size=(20, 11)))
+        filters = _frozen(rng.normal(size=(3, 3, 2, 4)))
+        inputs = rng.uniform(0, 1, (3, 20))
+        fmaps = rng.uniform(0, 1, (2, 6, 6, 2))
+        first_dense = accelerator.linear(dense, inputs)
+        first_conv = accelerator.conv2d(fmaps, filters, padding=1)
+        for _ in range(3):
+            assert np.array_equal(accelerator.linear(dense, inputs), first_dense)
+            # conv2d passes a fresh reshape view of the filters every call;
+            # it covers the whole buffer, so it reuses the buffer's digest.
+            assert np.array_equal(accelerator.conv2d(fmaps, filters, padding=1), first_conv)
+        assert len(sha1_calls) == 2
+        stats = accelerator.functional_statistics()
+        assert stats["tile_cache_misses"] == 2
+        assert stats["tile_cache_hits"] == 6
+
+    def test_memoised_key_equals_the_hashed_key(self, accelerator):
+        weights = np.random.default_rng(1).normal(size=(12, 5))
+        writable_key = accelerator._weight_key(weights.copy())
+        frozen = _frozen(weights)
+        assert accelerator._weight_key(frozen) == writable_key
+        assert accelerator._weight_key(frozen) == writable_key  # from the memo
+
+    def test_writable_weights_are_hashed_every_call(self, accelerator, sha1_calls):
+        rng = np.random.default_rng(2)
+        weights = rng.normal(size=(12, 5))
+        inputs = rng.uniform(0, 1, (2, 12))
+        for _ in range(4):
+            accelerator.linear(weights, inputs)
+        assert len(sha1_calls) == 4
+        assert accelerator.functional_statistics()["tile_cache_misses"] == 1
+
+    def test_partial_view_of_frozen_buffer_is_hashed_every_call(
+        self, accelerator, sha1_calls
+    ):
+        rng = np.random.default_rng(3)
+        weights = _frozen(rng.normal(size=(16, 5)))
+        inputs = rng.uniform(0, 1, (2, 8))
+        for _ in range(3):
+            accelerator.linear(weights[:8], inputs)
+        assert len(sha1_calls) == 3
+        assert accelerator.functional_statistics()["tile_cache_misses"] == 1
+
+    def test_thawed_buffer_is_rehashed_and_refreezing_sees_the_edit(
+        self, accelerator, sha1_calls
+    ):
+        rng = np.random.default_rng(4)
+        weights = _frozen(rng.normal(size=(8, 8)))
+        inputs = rng.uniform(0, 1, (2, 8))
+        accelerator.linear(weights, inputs)
+        accelerator.linear(weights, inputs)
+        assert len(sha1_calls) == 1
+        weights.setflags(write=True)
+        accelerator.linear(weights, inputs)
+        assert len(sha1_calls) == 2
+        events = accelerator.functional_statistics()["programming_events"]
+        weights[0, 0] += 1.0
+        weights.setflags(write=False)
+        edited = accelerator.linear(weights, inputs)
+        assert len(sha1_calls) == 3
+        assert accelerator.functional_statistics()["programming_events"] > events
+        fresh = OpticalCrossbarAccelerator(small_test_chip()).linear(weights, inputs)
+        assert np.array_equal(edited, fresh)
+
+    def test_reused_id_of_a_freed_buffer_gets_its_own_plan(self, accelerator):
+        rng = np.random.default_rng(5)
+        inputs = rng.uniform(0, 1, (2, 8))
+        weights = _frozen(rng.normal(size=(8, 8)))
+        accelerator.linear(weights, inputs)
+        values = [rng.normal(size=(8, 8)) for _ in range(100)]
+        freed_id = id(weights)
+        del weights
+        # Keep every candidate alive so each takes a fresh object slot.
+        candidates = []
+        for value in values:
+            replacement = _frozen(value.copy())
+            candidates.append(replacement)
+            if id(replacement) == freed_id:
+                break
+        else:
+            pytest.skip("the allocator never reused the freed array's id")
+        result = accelerator.linear(replacement, inputs)
+        assert accelerator.functional_statistics()["tile_cache_misses"] == 2
+        fresh = OpticalCrossbarAccelerator(small_test_chip()).linear(replacement, inputs)
+        assert np.array_equal(result, fresh)
+
+    def test_memo_entries_die_with_their_buffers(self, accelerator):
+        rng = np.random.default_rng(6)
+        inputs = rng.uniform(0, 1, (1, 8))
+        buffers = [_frozen(rng.normal(size=(8, 8))) for _ in range(3)]
+        for weights in buffers:
+            accelerator.linear(weights, inputs)
+        assert len(accelerator._buffer_digests) == 3
+        del weights
+        buffers.pop()
+        gc.collect()
+        assert len(accelerator._buffer_digests) == 2
+        buffers.clear()
+        gc.collect()
+        assert accelerator._buffer_digests == {}
+        # The cached plans are content-keyed and outlive the memo.
+        assert accelerator.functional_statistics()["tile_cache_misses"] == 3

@@ -1,5 +1,7 @@
 """Tests for end-to-end functional inference on the optical crossbar."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,68 @@ class TestBatchedInference:
             engine.run_batch(np.zeros((2, 4, 4, 2)))
         with pytest.raises(SimulationError):
             engine.run_batch(np.zeros((8, 8, 2)))
+
+
+class TestFrozenWeights:
+    """The engine freezes its weights, so each buffer is hashed once."""
+
+    def test_owned_float64_weights_are_frozen_in_place(self):
+        network = tiny_cnn()
+        weights = generate_random_weights(network, seed=5)
+        engine = FunctionalInferenceEngine(network, weights, small_test_chip(rows=32, columns=32))
+        for name, tensor in weights.items():
+            assert engine.weights[name] is tensor  # no copy
+            assert not tensor.flags.writeable
+        with pytest.raises(ValueError):
+            weights["fc"][0, 0] = 1.0
+        with pytest.raises(ValueError):
+            weights["conv1"] *= 2.0
+
+    def test_other_weights_are_converted_once(self, monkeypatch):
+        network = tiny_cnn()
+        originals = generate_random_weights(network, seed=5)
+        conv_owner = np.ascontiguousarray(np.stack([originals["conv1"]] * 2, axis=-1))
+        weights = {
+            "conv1": conv_owner[..., 0],  # a non-contiguous view
+            "fc": originals["fc"].astype(np.float32),
+        }
+        engine = FunctionalInferenceEngine(network, weights, small_test_chip(rows=32, columns=32))
+        for name, tensor in engine.weights.items():
+            assert tensor is not weights[name]
+            assert tensor.dtype == np.float64
+            assert tensor.flags.c_contiguous and tensor.flags.owndata
+            assert not tensor.flags.writeable
+            assert np.array_equal(tensor, weights[name])
+        # The caller's tensors are left writable.
+        assert conv_owner.flags.writeable and weights["fc"].flags.writeable
+        digests = []
+        real_sha1 = hashlib.sha1
+        monkeypatch.setattr(
+            "repro.core.accelerator.hashlib.sha1",
+            lambda data: digests.append(data) or real_sha1(data),
+        )
+        images = np.random.default_rng(0).uniform(0, 1, (2, 8, 8, 2))
+        for _ in range(3):
+            engine.run_batch(images)
+        assert len(digests) == len(network.crossbar_layers)
+
+    def test_noisy_outputs_match_an_engine_hashing_every_call(self):
+        network = build_lenet5(input_size=12)
+        weights = generate_random_weights(network, seed=6, scale=0.3)
+        config = small_test_chip(rows=32, columns=32)
+        noise = CrossbarNoiseModel.pessimistic()
+        images = np.random.default_rng(7).uniform(0, 1, (3, 12, 12, 1))
+        frozen = FunctionalInferenceEngine(network, weights, config, noise_model=noise, seed=3)
+        hashed = FunctionalInferenceEngine(network, weights, config, noise_model=noise, seed=3)
+        # Writable weights take the hash-every-call path; the tile plan keys
+        # and per-tile noise seeds must come out the same.
+        hashed.weights = {name: tensor.copy() for name, tensor in weights.items()}
+        noisy = frozen.run_batch(images)
+        assert np.array_equal(noisy, hashed.run_batch(images))
+        assert np.array_equal(frozen.run_batch(images), hashed.run_batch(images))
+        # The noise draws depend on the seeds, so equal outputs mean equal seeds.
+        reseeded = FunctionalInferenceEngine(network, weights, config, noise_model=noise, seed=4)
+        assert not np.array_equal(noisy, reseeded.run_batch(images))
 
 
 class TestAgreementMetrics:

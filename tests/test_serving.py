@@ -273,6 +273,42 @@ class TestFlushPolicies:
             2 * model.per_image_units
         )
 
+    def test_analytical_cost_model_builds_one_plan_per_layer(
+        self, lenet_workload, monkeypatch
+    ):
+        network, weights, config, _, _ = lenet_workload
+        builds = []
+        build = OpticalCrossbarAccelerator._build_tile_plan_locked
+
+        def counting_build(accelerator, matrix, key):
+            builds.append(key)
+            return build(accelerator, matrix, key)
+
+        monkeypatch.setattr(
+            OpticalCrossbarAccelerator, "_build_tile_plan_locked", counting_build
+        )
+        model = AnalyticalCostModel.from_workload(network, weights, config)
+        assert len(builds) == len(network.crossbar_layers)
+        # The fit equals one analytical_schedule query per layer and batch size.
+        monkeypatch.undo()
+        accelerator = OpticalCrossbarAccelerator(config)
+        makespans = []
+        for batch in (1, 2):
+            total = 0.0
+            for info in network.crossbar_layers:
+                matrix = np.asarray(weights[info.name], dtype=float)
+                vectors = batch
+                if matrix.ndim == 4:
+                    matrix = matrix.reshape(-1, matrix.shape[-1])
+                    vectors *= info.output_shape.height * info.output_shape.width
+                total += accelerator.analytical_schedule(matrix, vectors)[
+                    "dual_core_makespan_s"
+                ]
+            makespans.append(total)
+        per_image = max(makespans[1] - makespans[0], 1e-15)
+        assert model.per_image_units == per_image
+        assert model.fixed_units == max(makespans[0] - per_image, 0.0)
+
     def test_batcher_flush_reasons(self):
         flushes = []
         batcher = MicroBatcher(
